@@ -12,12 +12,10 @@
 //
 //   * threads + Hockney latency injection — the modeled network regime the
 //     sockets numbers are compared against (same scenario, same checksum);
-//   * sockets_batch — adaptive batching, deltas and shm off (the PR-9 wire,
-//     the baseline the hot path is measured against);
-//   * sockets_nobatch — one write per frame, the v1 wire;
-//   * sockets_delta / sockets_shm / sockets_delta_shm — wire delta encoding
-//     and the same-host shared-memory rings, each alone and together (the
-//     finished hot path). Smoke keeps the endpoints: baseline + delta_shm.
+//   * sockets — every data frame over loopback TCP (adaptive batching on,
+//     the baseline the shm rings are measured against);
+//   * sockets_shm — same-host data frames on the shared-memory rings (the
+//     default wire).
 //
 // Checksums must agree with the sim run everywhere: every throughput row
 // is also a cross-backend data-integrity witness. Lead-rank metrics travel
@@ -84,9 +82,6 @@ struct MeshMetrics {
   std::uint64_t socket_writes = 0;
   std::uint64_t wire_frames = 0;
   std::uint64_t wire_frames_coalesced = 0;
-  std::uint64_t wire_delta_hits = 0;
-  std::uint64_t wire_delta_misses = 0;
-  std::uint64_t wire_delta_bytes_saved = 0;
   std::uint64_t shm_msgs = 0;
   std::uint64_t mailbox_overflow_allocs = 0;
   std::uint64_t rx_buffer_allocs = 0;
@@ -133,9 +128,6 @@ Bytes Pack(const MeshMetrics& m) {
   w.u64(m.socket_writes);
   w.u64(m.wire_frames);
   w.u64(m.wire_frames_coalesced);
-  w.u64(m.wire_delta_hits);
-  w.u64(m.wire_delta_misses);
-  w.u64(m.wire_delta_bytes_saved);
   w.u64(m.shm_msgs);
   w.u64(m.mailbox_overflow_allocs);
   w.u64(m.rx_buffer_allocs);
@@ -163,9 +155,6 @@ bool Unpack(const Bytes& blob, MeshMetrics* out) {
     out->socket_writes = r.u64();
     out->wire_frames = r.u64();
     out->wire_frames_coalesced = r.u64();
-    out->wire_delta_hits = r.u64();
-    out->wire_delta_misses = r.u64();
-    out->wire_delta_bytes_saved = r.u64();
     out->shm_msgs = r.u64();
     out->mailbox_overflow_allocs = r.u64();
     out->rx_buffer_allocs = r.u64();
@@ -195,9 +184,6 @@ MeshMetrics FromReport(const gos::RunReport& report, std::uint64_t checksum,
   m.socket_writes = report.socket_writes;
   m.wire_frames = report.wire_frames;
   m.wire_frames_coalesced = report.wire_frames_coalesced;
-  m.wire_delta_hits = report.wire_delta_hits;
-  m.wire_delta_misses = report.wire_delta_misses;
-  m.wire_delta_bytes_saved = report.wire_delta_bytes_saved;
   m.shm_msgs = report.shm_msgs;
   m.mailbox_overflow_allocs = report.mailbox_overflow_allocs;
   m.rx_buffer_allocs = report.rx_buffer_allocs;
@@ -219,8 +205,6 @@ MeshMetrics FromReport(const gos::RunReport& report, std::uint64_t checksum,
 /// One wire configuration of the sockets transport under measurement.
 struct WireConfig {
   std::string name;  // the row's config label
-  bool batch = true;
-  bool wire_delta = false;
   bool shm = false;
 };
 
@@ -243,8 +227,6 @@ bool RunOnMesh(std::size_t nodes, std::size_t ranks_per_proc,
         vm.sockets.ranks_per_proc = self.ranks_per_proc;
         vm.sockets.listen_fd = self.listen_fd;
         vm.sockets.io_threads = io_threads;
-        vm.sockets.batch_frames = wire.batch;
-        vm.sockets.wire_delta = wire.wire_delta;
         vm.sockets.shm = wire.shm;
         vm.trace_out = trace_path;
         try {
@@ -279,7 +261,7 @@ bool RunOnMesh(std::size_t nodes, std::size_t ranks_per_proc,
 /// One measured configuration of one workload.
 struct Row {
   std::string workload;
-  std::string config;  // threads_inject | sockets_batch | sockets_nobatch
+  std::string config;  // threads_inject | sockets | sockets_shm | ...
   MeshMetrics m;
   bool ok = false;          // run completed and metrics parsed
   bool checksum_ok = false;  // matches the sim reference
@@ -306,14 +288,9 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
       static_cast<std::size_t>(flags.GetInt("max-procs", 8));
   const std::size_t io_threads =
       static_cast<std::size_t>(flags.GetInt("io-threads", 4));
-  // The sweep runs the full hot path (the configuration ops run under);
-  // flip either flag off to sweep the ablated wire.
-  const WireConfig wire{flags.GetBool("wire-delta", true) ||
-                                flags.GetBool("shm", true)
-                            ? "sockets_hotpath"
-                            : "sockets_batch",
-                        /*batch=*/true, flags.GetBool("wire-delta", true),
-                        flags.GetBool("shm", true)};
+  // The sweep runs the default wire (shm rings on); --shm=0 sweeps TCP.
+  const bool shm = flags.GetBool("shm", true);
+  const WireConfig wire{shm ? "sockets_shm" : "sockets", shm};
 
   struct ScalePoint {
     std::size_t nodes = 0;
@@ -403,7 +380,6 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
     j.Key("repetitions").Uint(reps);
     j.Key("max_procs").Uint(max_procs);
     j.Key("io_threads").Uint(io_threads);
-    j.Key("wire_delta").Bool(wire.wire_delta);
     j.Key("shm").Bool(wire.shm);
     j.Key("nodes").BeginArray();
     for (const std::size_t n : counts) j.Uint(n);
@@ -424,9 +400,6 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
       j.Key("socket_writes").Uint(p.m.socket_writes);
       j.Key("wire_frames").Uint(p.m.wire_frames);
       j.Key("wire_frames_coalesced").Uint(p.m.wire_frames_coalesced);
-      j.Key("wire_delta_hits").Uint(p.m.wire_delta_hits);
-      j.Key("wire_delta_misses").Uint(p.m.wire_delta_misses);
-      j.Key("wire_delta_bytes_saved").Uint(p.m.wire_delta_bytes_saved);
       j.Key("shm_msgs").Uint(p.m.shm_msgs);
       j.EndObject();
     }
@@ -465,20 +438,11 @@ int main(int argc, char** argv) {
   const int asp_size =
       static_cast<int>(flags.GetInt("asp-size", smoke ? 12 : 32));
 
-  // The wire ablation: sockets_batch is the delta/shm-free baseline (the
-  // previous wire behavior), then each hot-path feature alone, then both.
-  // Smoke keeps the endpoints (baseline + full hot path) for CI.
-  const bool delta_flag = flags.GetBool("wire-delta", true);
+  // The wire ablation: plain TCP, then the same-host shm rings (--shm=0
+  // drops the second row).
   const bool shm_flag = flags.GetBool("shm", true);
-  std::vector<WireConfig> configs;
-  configs.push_back({"sockets_batch", true, false, false});
-  if (!smoke) {
-    configs.push_back({"sockets_nobatch", false, false, false});
-    if (delta_flag) configs.push_back({"sockets_delta", true, true, false});
-    if (shm_flag) configs.push_back({"sockets_shm", true, false, true});
-  }
-  if (delta_flag && shm_flag)
-    configs.push_back({"sockets_delta_shm", true, true, true});
+  std::vector<WireConfig> configs = {{"sockets", false}};
+  if (shm_flag) configs.push_back({"sockets_shm", true});
 
   gos::VmOptions sim_opts;
   sim_opts.nodes = params.nodes;
@@ -593,11 +557,11 @@ int main(int argc, char** argv) {
       Row r;
       r.workload = "phased_churn";
       r.config = audit ? "sockets_audit" : "sockets_noaudit";
-      // Both audit rows run the full hot path: the pair isolates audit
+      // Both audit rows run the same wire: the pair isolates audit
       // overhead, not the wire configuration.
       r.ok = RunOnMesh(
           params.nodes, /*ranks_per_proc=*/1, io_threads,
-          WireConfig{r.config, true, delta_flag, shm_flag},
+          WireConfig{r.config, shm_flag},
           /*trace_path=*/{},
           [&](gos::VmOptions vm) {
             vm.dsm.audit = audit;
@@ -642,18 +606,16 @@ int main(int argc, char** argv) {
 
   // --- report --------------------------------------------------------------
   Table t({"workload", "config", "wall ms", "ops/sec", "msgs", "us/msg",
-           "writes", "frames", "deltas", "saved", "shm", "data"});
+           "writes", "frames", "shm", "data"});
   CsvWriter csv(bench::CsvPath("mesh"));
   csv.Row({"workload", "config", "wall_seconds", "ops_per_sec", "messages",
            "us_per_msg", "socket_writes", "wire_frames",
-           "wire_frames_coalesced", "wire_delta_hits",
-           "wire_delta_bytes_saved", "shm_msgs", "checksum_ok"});
+           "wire_frames_coalesced", "shm_msgs", "checksum_ok"});
   for (const Row& r : rows) {
     if (!r.ok) {
-      t.AddRow({r.workload, r.config, "-", "-", "-", "-", "-", "-", "-", "-",
-                "-", "FAILED"});
-      csv.Row({r.workload, r.config, "", "", "", "", "", "", "", "", "", "",
-               "0"});
+      t.AddRow({r.workload, r.config, "-", "-", "-", "-", "-", "-", "-",
+                "FAILED"});
+      csv.Row({r.workload, r.config, "", "", "", "", "", "", "", "", "0"});
       continue;
     }
     t.AddRow({r.workload, r.config, FmtF(r.m.seconds * 1e3, 2),
@@ -662,8 +624,6 @@ int main(int argc, char** argv) {
               FmtF(UsPerMsg(r.m), 2),
               FmtI(static_cast<long long>(r.m.socket_writes)),
               FmtI(static_cast<long long>(r.m.wire_frames)),
-              FmtI(static_cast<long long>(r.m.wire_delta_hits)),
-              FmtBytes(static_cast<double>(r.m.wire_delta_bytes_saved)),
               FmtI(static_cast<long long>(r.m.shm_msgs)),
               r.checksum_ok ? "ok" : "MISMATCH"});
     csv.Row({r.workload, r.config, std::to_string(r.m.seconds),
@@ -672,18 +632,15 @@ int main(int argc, char** argv) {
              std::to_string(r.m.socket_writes),
              std::to_string(r.m.wire_frames),
              std::to_string(r.m.wire_frames_coalesced),
-             std::to_string(r.m.wire_delta_hits),
-             std::to_string(r.m.wire_delta_bytes_saved),
              std::to_string(r.m.shm_msgs),
              r.checksum_ok ? "1" : "0"});
   }
   t.Print(std::cout);
   std::printf(
-      "\n(sockets rows: forked %u-rank localhost mesh; writes/frames/deltas/"
-      "shm are cluster totals over every rank's transport. sockets_batch is "
-      "the delta/shm-free baseline wire; _delta adds wire delta encoding, "
-      "_shm moves same-host data frames onto shared-memory rings, "
-      "_delta_shm is the full hot path.\n"
+      "\n(sockets rows: forked %u-rank localhost mesh; writes/frames/shm are "
+      "cluster totals over every rank's transport. sockets sends every data "
+      "frame over loopback TCP; _shm moves same-host data frames onto "
+      "shared-memory rings.\n"
       " threads_inject rows: in-process backend with per-delivery Hockney "
       "deadlines — the modeled regime the mesh is compared against.)\n",
       params.nodes);
@@ -703,7 +660,6 @@ int main(int argc, char** argv) {
     // Mesh shape: enough to rebuild the exact run from the JSON alone.
     j.Key("ranks_per_proc").Uint(1);
     j.Key("io_threads").Uint(io_threads);
-    j.Key("wire_delta").Bool(delta_flag);
     j.Key("shm").Bool(shm_flag);
     j.Key("rows").BeginArray();
     for (const Row& r : rows) {
@@ -720,9 +676,6 @@ int main(int argc, char** argv) {
       j.Key("socket_writes").Uint(r.m.socket_writes);
       j.Key("wire_frames").Uint(r.m.wire_frames);
       j.Key("wire_frames_coalesced").Uint(r.m.wire_frames_coalesced);
-      j.Key("wire_delta_hits").Uint(r.m.wire_delta_hits);
-      j.Key("wire_delta_misses").Uint(r.m.wire_delta_misses);
-      j.Key("wire_delta_bytes_saved").Uint(r.m.wire_delta_bytes_saved);
       j.Key("shm_msgs").Uint(r.m.shm_msgs);
       j.Key("mailbox_overflow_allocs").Uint(r.m.mailbox_overflow_allocs);
       j.Key("rx_buffer_allocs").Uint(r.m.rx_buffer_allocs);

@@ -75,42 +75,6 @@ void Diff::Apply(ByteSpan diff, MutByteSpan target) {
   HMDSM_CHECK_MSG(r.done(), "trailing bytes after diff runs");
 }
 
-bool Diff::TryApply(ByteSpan diff, ByteSpan base, Bytes* out,
-                    std::string* error) {
-  try {
-    Reader r(diff);
-    const std::uint32_t size = r.u32();
-    HMDSM_CHECK_MSG(size == base.size(),
-                    "delta base size mismatch: diff encoded for "
-                        << size << " bytes, base has " << base.size());
-    const std::uint32_t run_count = r.u32();
-    // Each run costs at least 8 header bytes, so a count the remaining
-    // bytes cannot hold is hostile — reject before looping.
-    HMDSM_CHECK_MSG(run_count <= r.remaining() / 8,
-                    "diff run count " << run_count << " cannot fit in "
-                                      << r.remaining() << " bytes");
-    out->assign(base.begin(), base.end());
-    std::size_t prev_end = 0;
-    for (std::uint32_t k = 0; k < run_count; ++k) {
-      const std::uint32_t offset = r.u32();
-      const std::uint32_t length = r.u32();
-      HMDSM_CHECK_MSG(offset >= prev_end, "diff runs out of order");
-      HMDSM_CHECK_MSG(static_cast<std::size_t>(offset) + length <=
-                          out->size(),
-                      "diff run exceeds object bounds");
-      const ByteSpan payload = r.raw(length);  // bounds-checked
-      if (length > 0)
-        std::memcpy(out->data() + offset, payload.data(), length);
-      prev_end = offset + length;
-    }
-    HMDSM_CHECK_MSG(r.done(), "trailing bytes after diff runs");
-    return true;
-  } catch (const CheckError& e) {
-    if (error != nullptr) *error = e.what();
-    return false;
-  }
-}
-
 bool Diff::IsEmpty(ByteSpan diff) {
   Reader r(diff);
   r.u32();  // size

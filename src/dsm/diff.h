@@ -38,16 +38,6 @@ class Diff {
   /// Requires target.size() == the object size recorded in the diff.
   static void Apply(ByteSpan diff, MutByteSpan target);
 
-  /// Defensive apply for untrusted input (the wire delta path): `*out`
-  /// becomes a copy of `base` with the diff's runs applied. Returns false
-  /// with a diagnostic — never throws, never reads out of bounds, never
-  /// allocates more than base.size() — on a size mismatch, a run count the
-  /// remaining bytes cannot hold, out-of-order or out-of-bounds runs,
-  /// truncation, or trailing garbage. Apply() above stays the trusted-path
-  /// variant (malformed input there is a local logic bug, so it dies).
-  static bool TryApply(ByteSpan diff, ByteSpan base, Bytes* out,
-                       std::string* error);
-
   /// True if the diff carries no changed ranges.
   static bool IsEmpty(ByteSpan diff);
 

@@ -67,9 +67,6 @@ RunReport MakeRunReport(const stats::Recorder& rec, double seconds) {
   report.socket_writes = rec.Count(stats::Ev::kSocketWrites);
   report.wire_frames = rec.Count(stats::Ev::kWireFramesEnqueued);
   report.wire_frames_coalesced = rec.Count(stats::Ev::kWireFramesCoalesced);
-  report.wire_delta_hits = rec.Count(stats::Ev::kWireDeltaHits);
-  report.wire_delta_misses = rec.Count(stats::Ev::kWireDeltaMisses);
-  report.wire_delta_bytes_saved = rec.Count(stats::Ev::kWireDeltaBytesSaved);
   report.shm_msgs = rec.Count(stats::Ev::kShmMsgs);
   report.mailbox_overflow_allocs =
       rec.Count(stats::Ev::kMailboxOverflowAllocs);

@@ -206,11 +206,6 @@ struct VmOptions {
     /// thread cost independent of rank count.
     std::size_t io_threads = 4;
     int listen_fd = -1;
-    /// Adaptive frame batching on the per-peer writer queues (coalesce a
-    /// backlog of small frames into one wire write). On by default; off
-    /// reproduces the one-write-per-frame v1 wire behavior (benches use it
-    /// for before/after comparisons).
-    bool batch_frames = true;
     /// Link-liveness heartbeat period (ms): each peer-process link is
     /// probed from the reactor's timer, feeding per-link RTT histograms
     /// and the coordinator's healthy → suspect → dead state machine. 0
@@ -221,12 +216,6 @@ struct VmOptions {
     /// duration (0 picks an ephemeral port; the bound port is printed to
     /// stderr). -1 disables the exporter. Non-lead processes ignore it.
     int metrics_port = -1;
-    /// Wire delta encoding: per-(peer, object) caches on both ends of
-    /// every link diff each kObjReply/kDiff payload against the last
-    /// version the receiver holds and ship only the changed runs (frame.h
-    /// kDelta). On by default; off reproduces the full-frame v6 wire
-    /// behavior for ablation.
-    bool wire_delta = true;
     /// Shared-memory transport: processes that negotiate the same host
     /// identity in the Hello handshake move all data frames onto per-pair
     /// shm rings (netio/shm.h) and keep only control/heartbeats on TCP.
@@ -302,13 +291,14 @@ struct RunReport {
   std::uint64_t socket_writes = 0;
   std::uint64_t wire_frames = 0;
   std::uint64_t wire_frames_coalesced = 0;
-  /// Wire hot-path counters (sockets backend, cluster totals like the
-  /// above): data frames sent as deltas vs full, bytes the deltas saved
-  /// (frame overheads included), data frames that rode a same-host shm
-  /// ring instead of TCP.
+  /// The retired wire delta encoding's counters. They always read 0 and
+  /// are kept only because the repo benchmark (meshbench/launch.cc) still
+  /// reads them.
   std::uint64_t wire_delta_hits = 0;
   std::uint64_t wire_delta_misses = 0;
   std::uint64_t wire_delta_bytes_saved = 0;
+  /// Data frames that rode a same-host shm ring instead of TCP (sockets
+  /// backend, cluster total like the above).
   std::uint64_t shm_msgs = 0;
   /// Allocation-pooling watermarks (cluster totals): mailbox overflow
   /// nodes allocated past the pool (steady state: stays flat) and rx

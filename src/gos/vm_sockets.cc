@@ -110,10 +110,8 @@ netio::SocketTransportOptions ToSocketOptions(const VmOptions& o) {
   s.ranks_per_proc = o.sockets.ranks_per_proc;
   s.io_threads = o.sockets.io_threads;
   s.listen_fd = o.sockets.listen_fd;
-  s.batch_frames = o.sockets.batch_frames;
   s.heartbeat_interval_ms = o.sockets.heartbeat_interval_ms;
   s.measure_latency = o.histograms;
-  s.wire_delta = o.sockets.wire_delta;
   s.shm = o.sockets.shm;
   return s;
 }

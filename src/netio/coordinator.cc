@@ -482,7 +482,11 @@ void Coordinator::StartPolling(double interval_s, std::string poll_out) {
     poll_latest_.clear();
     latest_view_ = PollView{};
   }
-  poll_thread_ = std::thread([this, interval_s] { PollLoop(interval_s); });
+  // Polling starts with the run, before the application sends any DSM
+  // message: the cluster total is zero at this clock reading.
+  const PollCursor start{0, transport_.Now()};
+  poll_thread_ = std::thread(
+      [this, interval_s, start] { PollLoop(interval_s, start); });
 }
 
 void Coordinator::StopPolling() {
@@ -548,7 +552,37 @@ double Coordinator::PollRate(std::uint64_t msgs, std::uint64_t prev_msgs,
   return static_cast<double>(msgs - prev_msgs) / dt_s;
 }
 
-void Coordinator::PollLoop(double interval_s) {
+double Coordinator::PollCursor::Advance(std::uint64_t sample_msgs,
+                                        sim::Time now_ns,
+                                        std::size_t answered,
+                                        std::size_t expected) {
+  const double rate = PollRate(sample_msgs, msgs,
+                               sim::ToSeconds(now_ns - at_ns), answered,
+                               expected);
+  if (answered == expected) {
+    msgs = sample_msgs;
+    at_ns = now_ns;
+  }
+  return rate;
+}
+
+std::string Coordinator::FormatPollLine(std::uint64_t seq, double t_s,
+                                        std::uint64_t msgs, double rate,
+                                        std::uint64_t faults,
+                                        std::uint64_t migrations,
+                                        const std::string& note) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "hmdsm poll #%llu: t=%.1fms msgs=%llu (%.0f/s) faults=%llu "
+                "migrations=%llu",
+                static_cast<unsigned long long>(seq), t_s * 1e3,
+                static_cast<unsigned long long>(msgs), rate,
+                static_cast<unsigned long long>(faults),
+                static_cast<unsigned long long>(migrations));
+  return buf + note;
+}
+
+void Coordinator::PollLoop(double interval_s, PollCursor cursor) {
   const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double>(interval_s));
   const std::size_t others = transport_.process_count() - 1;
@@ -557,9 +591,6 @@ void Coordinator::PollLoop(double interval_s) {
   std::vector<net::NodeId> remotes;
   for (const LinkStats& link : transport_.LinkSnapshots())
     remotes.push_back(link.primary);
-  std::uint64_t prev_msgs = 0;
-  sim::Time prev_ns = 0;
-  bool have_prev = false;
   std::unique_lock lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval, [&] { return poll_stop_; })) return;
@@ -596,9 +627,7 @@ void Coordinator::PollLoop(double interval_s) {
     total.Merge(runtime_.Totals());
     const sim::Time now = transport_.Now();
     const std::uint64_t msgs = total.TotalMessages();
-    const double rate =
-        PollRate(msgs, prev_msgs, have_prev ? sim::ToSeconds(now - prev_ns) : 0,
-                 answered, others);
+    const double rate = cursor.Advance(msgs, now, answered, others);
     lock.lock();
     const std::vector<LivenessTransition> transitions =
         TickLiveness(links, static_cast<std::uint64_t>(now));
@@ -625,24 +654,11 @@ void Coordinator::PollLoop(double interval_s) {
     if (!stale.empty()) note += " [stale:" + RankList(stale) + "]";
     if (!suspect.empty()) note += " [suspect:" + RankList(suspect) + "]";
     if (!dead.empty()) note += " [dead:" + RankList(dead) + "]";
-    std::fprintf(stderr,
-                 "hmdsm poll #%llu: t=%.1fs msgs=%llu (%.0f/s) faults=%llu "
-                 "migrations=%llu%s\n",
-                 static_cast<unsigned long long>(seq), sim::ToSeconds(now),
-                 static_cast<unsigned long long>(msgs), rate,
-                 static_cast<unsigned long long>(
-                     total.Count(stats::Ev::kFaultIns)),
-                 static_cast<unsigned long long>(
-                     total.Count(stats::Ev::kMigrations)),
-                 note.c_str());
-    // The comparison cursor only ever advances onto *complete* samples: a
-    // rate against a total that was merely missing replies would read as a
-    // spurious burst (or, unsigned, as the underflow PollRate guards).
-    if (answered == others) {
-      prev_msgs = msgs;
-      prev_ns = now;
-      have_prev = true;
-    }
+    std::fprintf(stderr, "%s\n",
+                 FormatPollLine(seq, sim::ToSeconds(now), msgs, rate,
+                                total.Count(stats::Ev::kFaultIns),
+                                total.Count(stats::Ev::kMigrations), note)
+                     .c_str());
     lock.lock();
   }
 }

@@ -34,6 +34,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,6 +67,27 @@ class Coordinator {
   static double PollRate(std::uint64_t msgs, std::uint64_t prev_msgs,
                          double dt_s, std::size_t answered,
                          std::size_t expected);
+
+  /// The live poll's rate baseline: the cluster message total and the
+  /// transport clock of the last complete sample. StartPolling seeds it, so
+  /// the first sample already has a baseline to difference against.
+  struct PollCursor {
+    std::uint64_t msgs = 0;
+    sim::Time at_ns = 0;
+    /// The sample's msgs/s against the cursor (PollRate's rules), then
+    /// moves the cursor onto the sample if it is complete — a rate against
+    /// a total that was merely missing replies would read as a burst.
+    double Advance(std::uint64_t sample_msgs, sim::Time now_ns,
+                   std::size_t answered, std::size_t expected);
+  };
+
+  /// The lead's stderr line for one poll sample. Time prints in
+  /// milliseconds, since intervals down to 10ms are legal.
+  static std::string FormatPollLine(std::uint64_t seq, double t_s,
+                                    std::uint64_t msgs, double rate,
+                                    std::uint64_t faults,
+                                    std::uint64_t migrations,
+                                    const std::string& note);
 
   // ---- lead side ----
 
@@ -176,7 +198,7 @@ class Coordinator {
   /// be called without mu_ held.
   void ReportTransitions(const std::vector<LivenessTransition>& transitions,
                          std::int64_t now_ns);
-  void PollLoop(double interval_s);
+  void PollLoop(double interval_s, PollCursor cursor);
 
   /// cv.wait_for with the control-plane timeout; throws CheckError naming
   /// `what` on expiry.

@@ -134,80 +134,6 @@ bool TryDecode(const Buf& frame, DataFrame* out, std::string* error) {
   });
 }
 
-Bytes Encode(const DeltaFrame& f) {
-  Writer w = Begin(FrameType::kDelta);
-  w.u32(f.src);
-  w.u32(f.dst);
-  w.u8(static_cast<std::uint8_t>(f.cat));
-  w.u64(f.obj);
-  w.u32(f.base_seq);
-  w.bytes(f.diff);
-  return w.take();
-}
-
-namespace {
-
-/// Structural validation of an embedded dsm::Diff: bounded run count,
-/// ordered in-bounds runs, no truncation, no trailing bytes. Throws
-/// CheckError (converted to a false decode by Defensive) so a hostile diff
-/// is rejected at the frame boundary, before any apply touches it.
-void ValidateDiffRuns(ByteSpan diff) {
-  Reader r(diff);
-  const std::uint32_t size = r.u32();
-  const std::uint32_t run_count = r.u32();
-  // Each run costs at least 8 header bytes: a count the remaining bytes
-  // cannot hold is hostile, reject before looping.
-  HMDSM_CHECK_MSG(run_count <= r.remaining() / 8,
-                  "delta run count " << run_count << " cannot fit in "
-                                     << r.remaining() << " bytes");
-  std::size_t prev_end = 0;
-  for (std::uint32_t k = 0; k < run_count; ++k) {
-    const std::uint32_t offset = r.u32();
-    const std::uint32_t length = r.u32();
-    HMDSM_CHECK_MSG(offset >= prev_end, "delta runs out of order");
-    HMDSM_CHECK_MSG(static_cast<std::size_t>(offset) + length <= size,
-                    "delta run exceeds object bounds");
-    r.raw(length);  // truncation-checked by the Reader
-    prev_end = offset + length;
-  }
-  HMDSM_CHECK_MSG(r.done(), "trailing bytes after delta runs");
-}
-
-/// Shared by both DeltaFrame decoders (same split as DecodeDataHeader).
-/// Returns the validated diff span inside the frame.
-ByteSpan DecodeDeltaHeader(Reader& r, DeltaFrame* out) {
-  out->src = r.u32();
-  out->dst = r.u32();
-  const std::uint8_t cat = r.u8();
-  HMDSM_CHECK_MSG(cat < stats::kNumMsgCats,
-                  "message category " << static_cast<int>(cat)
-                                      << " out of range");
-  out->cat = static_cast<stats::MsgCat>(cat);
-  out->obj = r.u64();
-  out->base_seq = r.u32();
-  const std::uint32_t len = r.u32();
-  const ByteSpan diff = r.raw(len);  // bounds-checked by the Reader
-  ValidateDiffRuns(diff);
-  return diff;
-}
-
-}  // namespace
-
-bool TryDecode(ByteSpan frame, DeltaFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kDelta, error, [&](Reader& r) {
-    out->diff = Buf::Copy(DecodeDeltaHeader(r, out));
-  });
-}
-
-bool TryDecode(const Buf& frame, DeltaFrame* out, std::string* error) {
-  const ByteSpan span = frame.span();
-  return Defensive(span, FrameType::kDelta, error, [&](Reader& r) {
-    const ByteSpan diff = DecodeDeltaHeader(r, out);
-    out->diff = frame.View(
-        static_cast<std::size_t>(diff.data() - span.data()), diff.size());
-  });
-}
-
 Bytes EncodeBatch(const std::vector<Bytes>& frames) {
   HMDSM_CHECK_MSG(frames.size() >= 2, "a batch coalesces at least 2 frames");
   std::size_t total = 1 + 4;

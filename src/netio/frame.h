@@ -38,16 +38,15 @@ namespace hmdsm::netio {
 /// primary rank) and Hello carries ranks_per_proc so a mesh with
 /// inconsistent process shapes refuses to form. v6: Heartbeat/HeartbeatAck
 /// link-liveness frames exchanged per process pair on the reactor's timer.
-/// v7: wire delta encoding (Delta frames + feature negotiation via
-/// Hello/HelloAck flags) and shared-memory transport negotiation (segment
-/// name + host identity in the handshake); the recorder serialization also
-/// grew new event counters.
-constexpr std::uint32_t kProtocolVersion = 7;
+/// v7: shared-memory transport negotiation (feature flags, segment name +
+/// host identity in the handshake); the recorder serialization also grew
+/// new event counters. v8: the v7 wire delta encoding is gone (its frame
+/// type byte is now unknown) and the recorder drops its three counters.
+constexpr std::uint32_t kProtocolVersion = 8;
 
 /// Hello/HelloAck feature flags. A feature is active on a link only when
 /// *both* ends advertise it, so mixed command lines degrade to the common
 /// denominator instead of desynchronizing.
-constexpr std::uint32_t kHelloFlagWireDelta = 1u << 0;
 constexpr std::uint32_t kHelloFlagShm = 1u << 1;
 
 /// Frames larger than this are rejected before allocation. Generous: the
@@ -75,15 +74,13 @@ enum class FrameType : std::uint8_t {
   kStatsPollReply, // rank -> lead: counters+histograms at sample time
   kHeartbeat,      // either direction: link-liveness probe `seq`
   kHeartbeatAck,   // echo of a Heartbeat: same seq + sender's send stamp
-  kDelta,          // one DSM message, diff-encoded against the last
-                   // transmitted version of its object (protocol v7)
 };
 
 /// Peeks the type byte; kData-vs-control routing in the reader loop.
 inline bool PeekType(ByteSpan frame, FrameType* out) {
   if (frame.empty()) return false;
   *out = static_cast<FrameType>(frame[0]);
-  return *out >= FrameType::kHello && *out <= FrameType::kDelta;
+  return *out >= FrameType::kHello && *out <= FrameType::kHeartbeatAck;
 }
 
 struct HelloFrame {
@@ -120,26 +117,6 @@ struct DataFrame {
   /// With the Buf-decode overload this is a zero-copy view of the wire
   /// frame the message arrived in; with the span overload it owns a copy.
   Buf payload;
-};
-
-/// A data frame whose payload is dsm::Diff-encoded against the last
-/// version of object `obj` this link transmitted (protocol v7). The
-/// receiver holds that version in its mirror DeltaCache at sequence
-/// `base_seq`; applying `diff` reconstructs the payload bit-exactly and
-/// advances the entry to base_seq + 1. A delta frame only ever replaces a
-/// kData frame — the sender falls back to a full frame whenever the cache
-/// misses, the size changed, or the diff is not actually smaller — so a
-/// receiver can treat any base mismatch as a protocol violation.
-struct DeltaFrame {
-  net::NodeId src = 0;
-  net::NodeId dst = 0;
-  stats::MsgCat cat = stats::MsgCat::kObj;
-  std::uint64_t obj = 0;       // DeltaCache key (ObjectId.value)
-  std::uint32_t base_seq = 0;  // cache sequence the diff applies on top of
-  /// dsm::Diff encoding of (cached payload -> new payload). The Buf decode
-  /// overload aliases the wire frame; runs are bounds-validated before the
-  /// decoder accepts the frame.
-  Buf diff;
 };
 
 struct StartThreadFrame {
@@ -236,7 +213,6 @@ struct HeartbeatAckFrame {
 Bytes Encode(const HelloFrame&);
 Bytes Encode(const HelloAckFrame&);
 Bytes Encode(const DataFrame&);
-Bytes Encode(const DeltaFrame&);
 Bytes Encode(const StartThreadFrame&);
 Bytes Encode(const ThreadDoneFrame&);
 Bytes Encode(const QuiesceProbeFrame&);
@@ -278,12 +254,6 @@ bool TryDecode(ByteSpan frame, DataFrame* out, std::string* error);
 /// socket reader uses this so a received payload is never re-copied between
 /// the wire and the mailbox.
 bool TryDecode(const Buf& frame, DataFrame* out, std::string* error);
-/// Delta decoders validate the diff's internal structure (bounded run
-/// count, ordered in-bounds runs) before accepting the frame, so a hostile
-/// diff is rejected here, not discovered during apply.
-bool TryDecode(ByteSpan frame, DeltaFrame* out, std::string* error);
-/// Zero-copy variant: `out->diff` aliases `frame`.
-bool TryDecode(const Buf& frame, DeltaFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, StartThreadFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ThreadDoneFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, QuiesceProbeFrame* out, std::string* error);

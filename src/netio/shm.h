@@ -16,8 +16,8 @@
 // with wraparound. Streaming means a frame larger than the ring still
 // flows (writer fills, reader drains, repeat) — there is no oversize
 // fallback path that could reorder traffic, which is what makes the ring
-// the *single* FIFO data channel per direction and keeps the wire delta
-// caches in lockstep.
+// the *single* FIFO data channel per direction — the per-sender FIFO
+// delivery contract (net/transport.h) holds on the ring exactly as on TCP.
 //
 // Synchronization: head/tail are release/acquire atomics in the mapped
 // region — they carry the happens-before for the plain-byte copies, so the
@@ -101,7 +101,7 @@ class ShmTransport {
   /// Per-ring drain gate: the reader leaves ring `g`'s bytes in place until
   /// this returns true. SocketTransport gates on handshake completion so a
   /// peer that attaches and writes the instant it sees our HelloAck cannot
-  /// have frames processed before our per-link receive state exists.
+  /// have frames processed before this process adopted the link.
   using RingGate = std::function<bool(std::size_t src_group)>;
 
   /// Starts the reader thread draining every attached inbound ring. Call

@@ -7,8 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/dsm/diff.h"
-#include "src/proto/wire.h"
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -28,9 +26,16 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 /// epoll user-data tag for a reactor thread's heartbeat timerfd.
 constexpr std::uint64_t kTimerTag = ~std::uint64_t{0} - 1;
 
-/// Upper bound on iovecs per writev: a full batch (max_batch_frames = 64)
-/// is 1 header segment + 2 per frame = 129 segments, comfortably under
-/// this (and under IOV_MAX); larger images flush across several calls.
+/// Adaptive frame batching budgets: a reactor flush that finds more than
+/// one frame queued coalesces up to this many frames / bytes into one
+/// Batch image — one wire write — and flushes immediately (no batching,
+/// no added latency) whenever the queue drains to a single frame.
+constexpr std::size_t kMaxBatchFrames = 64;
+constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
+/// Upper bound on iovecs per writev: a full batch is 1 header segment + 2
+/// per frame = 129 segments, comfortably under this (and under IOV_MAX);
+/// larger images flush across several calls.
 constexpr int kMaxIovPerWrite = 192;
 
 Bytes LenPrefix(std::size_t n) {
@@ -43,22 +48,6 @@ Bytes LenPrefix(std::size_t n) {
 void AppendU32(Bytes& b, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) b.push_back(static_cast<Byte>(v >> (8 * i)));
 }
-
-/// Per-link delta-cache key: destination rank and object id mixed into one
-/// word. A collision is harmless, not just unlikely: both ends compute the
-/// same key from the same frame fields, so colliding objects overwrite the
-/// shared entry in lockstep and the seq check keeps every delta applied
-/// against the exact payload it was encoded against.
-std::uint64_t DeltaKey(net::NodeId dst, std::uint64_t obj) {
-  return obj ^ (static_cast<std::uint64_t>(dst) * 0x9E3779B97F4A7C15ULL);
-}
-
-/// Encoded-frame bytes beyond the payload/diff (the shared 4-byte length
-/// prefix cancels out): kData is type+src+dst+cat+len = 14, kDelta adds
-/// obj+base_seq = 26. A delta goes out only when it is *strictly* smaller
-/// than the full frame it replaces.
-constexpr std::size_t kDataFrameOverhead = 14;
-constexpr std::size_t kDeltaFrameOverhead = 26;
 
 }  // namespace
 
@@ -126,17 +115,16 @@ void SocketTransport::Start() {
           [this](std::size_t src_group, Buf frame) {
             FrameType type;
             if (!PeekType(frame.span(), &type) ||
-                (type != FrameType::kData && type != FrameType::kDelta)) {
+                type != FrameType::kData) {
               Die("non-data frame on the shm ring from process " +
                   std::to_string(src_group));
             }
             HandleFrame(src_group, frame, /*allow_batch=*/false);
           },
           [this](const std::string& why) { Die(why); }, &rx_pool_,
-          // Drain gate: ring bytes wait until this link's handshake
-          // settled its receive state (delta_on et al.) — a peer may
-          // attach and write the instant it sees our HelloAck, before
-          // our RegisterPeer has run.
+          // Drain gate: ring bytes wait until this process adopted the
+          // link — a peer may attach and write the instant it sees our
+          // HelloAck, before our RegisterPeer has run.
           [this](std::size_t src_group) {
             return peers_[src_group].registered.load(
                 std::memory_order_acquire);
@@ -243,17 +231,15 @@ void SocketTransport::ConnectorMain() {
                   error);
       return;
     }
-    // Capability negotiation: the AND of both ends' advertisements. Shm
-    // additionally requires the same host identity — equal flags from a
-    // different machine must not be trusted with an mmap.
-    const bool delta_on =
-        options_.wire_delta && (ack.flags & kHelloFlagWireDelta) != 0;
+    // Shm needs both ends' advertisement and the same host identity —
+    // equal flags from a different machine must not be trusted with an
+    // mmap.
     std::string peer_shm;
     if (shm_ != nullptr && (ack.flags & kHelloFlagShm) != 0 &&
         ack.host_id == host_id_ && !ack.shm_name.empty()) {
       peer_shm = ack.shm_name;
     }
-    RegisterPeer(g, std::move(fd), delta_on, peer_shm);
+    RegisterPeer(g, std::move(fd), peer_shm);
   }
   for (std::size_t remaining = group_count_ - 1 - group_; remaining > 0;
        --remaining) {
@@ -306,8 +292,6 @@ void SocketTransport::ConnectorMain() {
         return;
       }
     }
-    const bool delta_on =
-        options_.wire_delta && (hello.flags & kHelloFlagWireDelta) != 0;
     std::string peer_shm;
     if (shm_ != nullptr && (hello.flags & kHelloFlagShm) != 0 &&
         hello.host_id == host_id_ && !hello.shm_name.empty()) {
@@ -323,27 +307,20 @@ void SocketTransport::ConnectorMain() {
       FailConnect("hello-ack write: " + error);
       return;
     }
-    RegisterPeer(g, std::move(fd), delta_on, peer_shm);
+    RegisterPeer(g, std::move(fd), peer_shm);
   }
 }
 
 std::uint32_t SocketTransport::HelloFlags() const {
-  std::uint32_t flags = 0;
-  if (options_.wire_delta) flags |= kHelloFlagWireDelta;
-  if (shm_ != nullptr) flags |= kHelloFlagShm;
-  return flags;
+  return shm_ != nullptr ? kHelloFlagShm : 0;
 }
 
-void SocketTransport::RegisterPeer(std::size_t group, Fd fd, bool delta_on,
+void SocketTransport::RegisterPeer(std::size_t group, Fd fd,
                                    const std::string& peer_shm_name) {
   Peer& peer = peers_[group];
   HMDSM_CHECK_MSG(SetNonBlocking(fd.get()),
                   "cannot make peer socket nonblocking");
   peer.fd = std::move(fd);
-  // Link capabilities settle before any thread can process this link's
-  // frames: the epoll ADD below publishes them to the reactor thread, the
-  // `registered` flip publishes them to the shm reader's drain gate.
-  peer.delta_on.store(delta_on, std::memory_order_release);
   if (shm_ != nullptr && !peer_shm_name.empty()) {
     std::string error;
     if (shm_->AttachPeer(group, peer_shm_name, &error)) {
@@ -648,9 +625,6 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
           " (claims " + std::to_string(data.src) + "->" +
           std::to_string(data.dst) + ")");
     }
-    // Mirror the sender's tx-cache op for this frame (lockstep invariant,
-    // see delta.h) before the payload is moved into the packet.
-    NoteRxData(peers_[group], data);
     wire_received_.fetch_add(1, std::memory_order_acq_rel);
     // Count before the push, exactly like the channel transport: once the
     // dispatcher can see the packet, enqueued() must already cover it.
@@ -659,8 +633,6 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
                        std::move(data.payload)};
     if (options_.measure_latency) packet.enqueued_at = Now();
     mailboxes_[data.dst - options_.rank].Push(std::move(packet));
-  } else if (type == FrameType::kDelta) {
-    HandleDelta(group, frame);
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
     if (!allow_batch || !TryDecodeBatch(frame, &inner, &error)) {
@@ -707,65 +679,6 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
   }
 }
 
-void SocketTransport::HandleDelta(std::size_t group, const Buf& frame) {
-  std::string error;
-  DeltaFrame df;
-  if (!TryDecode(frame, &df, &error)) {
-    Die("malformed delta frame from process " + std::to_string(group) +
-        ": " + error);
-  }
-  if (df.src >= options_.peers.size() || GroupOf(df.src) != group ||
-      !is_local(df.dst)) {
-    Die("misrouted delta frame from process " + std::to_string(group) +
-        " (claims " + std::to_string(df.src) + "->" +
-        std::to_string(df.dst) + ")");
-  }
-  Peer& peer = peers_[group];
-  if (!peer.delta_on.load(std::memory_order_acquire)) {
-    Die("delta frame from process " + std::to_string(group) +
-        " but the link did not negotiate wire deltas");
-  }
-  // Rebuild the full payload against the mirrored base. Any mismatch here
-  // is a protocol bug — the lockstep invariant (delta.h) guarantees the
-  // sender only deltas against versions it knows we hold.
-  const std::uint64_t key = DeltaKey(df.dst, df.obj);
-  const DeltaCache::Entry* prev = peer.rx_cache.Find(key);
-  if (prev == nullptr || prev->seq != df.base_seq) {
-    Die("delta frame from process " + std::to_string(group) + " for obj " +
-        std::to_string(df.obj) + " has base seq " +
-        std::to_string(df.base_seq) + " but receiver holds " +
-        (prev ? std::to_string(prev->seq) : std::string("nothing")));
-  }
-  Bytes rebuilt;
-  if (!dsm::Diff::TryApply(df.diff.span(), prev->payload.span(), &rebuilt,
-                           &error)) {
-    Die("delta frame from process " + std::to_string(group) +
-        " does not apply: " + error);
-  }
-  Buf payload(std::move(rebuilt));
-  peer.rx_cache.Advance(key, payload, df.base_seq + 1);
-  wire_received_.fetch_add(1, std::memory_order_acq_rel);
-  enqueued_.fetch_add(1, std::memory_order_acq_rel);
-  net::Packet packet{df.src, df.dst, df.cat, std::move(payload)};
-  if (options_.measure_latency) packet.enqueued_at = Now();
-  mailboxes_[df.dst - options_.rank].Push(std::move(packet));
-}
-
-void SocketTransport::NoteRxData(Peer& peer, const DataFrame& data) {
-  if (!peer.delta_on.load(std::memory_order_acquire)) return;
-  proto::Kind kind;
-  std::uint64_t obj;
-  if (!proto::PeekKindObject(data.payload.span(), &kind, &obj)) return;
-  const std::uint64_t key = DeltaKey(data.dst, obj);
-  if (kind == proto::Kind::kMigrateReply) {
-    // Mirrors the sender's Erase: the home moved, so the next version of
-    // this object arrives from a different process with a fresh cache.
-    peer.rx_cache.Erase(key);
-  } else if (kind == proto::Kind::kObjReply || kind == proto::Kind::kDiff) {
-    peer.rx_cache.Store(key, data.payload);
-  }
-}
-
 void SocketTransport::OnTimer(IoThread& t) {
   std::uint64_t expirations;
   while (::read(t.timer.get(), &expirations, sizeof expirations) > 0) {
@@ -795,10 +708,8 @@ void SocketTransport::MarkPeerDown(IoThread& t, std::size_t group,
     std::lock_guard lock(peer.mu);
     peer.queue.clear();
     peer.queue_bytes = 0;
-    // A dead link sends nothing more on any medium, and a resurrected one
-    // would renegotiate from scratch — drop the ring and the delta state.
+    // A dead link sends nothing more on any medium.
     peer.shm_tx = false;
-    peer.tx_cache.Clear();
   }
   if (peer.in_epoll) {
     ::epoll_ctl(t.epoll.get(), EPOLL_CTL_DEL, peer.fd.get(), nullptr);
@@ -826,12 +737,10 @@ bool SocketTransport::BuildNextWrite(Peer& peer) {
     // last write was in flight, bounded by the batch budgets. A queue
     // holding a single frame (the idle/latency-sensitive case) yields a
     // plain immediate write; only a genuine backlog is batched.
-    const std::size_t max_frames =
-        options_.batch_frames ? options_.max_batch_frames : 1;
     std::size_t batch_bytes = 0;
-    while (!peer.queue.empty() && frames.size() < max_frames) {
+    while (!peer.queue.empty() && frames.size() < kMaxBatchFrames) {
       const std::size_t next = peer.queue.front().size() + 4;
-      if (!frames.empty() && batch_bytes + next > options_.max_batch_bytes)
+      if (!frames.empty() && batch_bytes + next > kMaxBatchBytes)
         break;
       batch_bytes += next;
       peer.queue_bytes -= peer.queue.front().size();
@@ -1013,51 +922,7 @@ bool SocketTransport::TryEnqueueFrame(net::NodeId dst, Bytes frame) {
   return true;
 }
 
-Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
-  // Called under peer.mu: the cache op and the frame's entry into the
-  // link's FIFO (queue push or ring write) are one atomic step, which is
-  // what keeps both ends' caches in lockstep (delta.h).
-  if (!peer.delta_on.load(std::memory_order_acquire))
-    return Encode(std::move(data));
-  proto::Kind kind;
-  std::uint64_t obj;
-  if (!proto::PeekKindObject(data.payload.span(), &kind, &obj))
-    return Encode(std::move(data));
-  const std::uint64_t key = DeltaKey(data.dst, obj);
-  if (kind == proto::Kind::kMigrateReply) {
-    // Home moved: whoever serves the next version keys a fresh cache, so
-    // both ends drop this entry (receiver mirrors in NoteRxData).
-    peer.tx_cache.Erase(key);
-    return Encode(std::move(data));
-  }
-  if (kind != proto::Kind::kObjReply && kind != proto::Kind::kDiff)
-    return Encode(std::move(data));
-  const DeltaCache::Entry* prev = peer.tx_cache.Find(key);
-  if (prev != nullptr && prev->payload.size() == data.payload.size()) {
-    Bytes diff =
-        dsm::Diff::Encode(prev->payload.span(), data.payload.span());
-    // Send the delta only when it is strictly smaller on the wire,
-    // frame overheads included — equal-size deltas buy nothing and cost
-    // a rebuild on the far side.
-    if (diff.size() + kDeltaFrameOverhead <
-        data.payload.size() + kDataFrameOverhead) {
-      const std::uint64_t base_seq = prev->seq;
-      delta_hits_.fetch_add(1, std::memory_order_relaxed);
-      delta_bytes_saved_.fetch_add(
-          (data.payload.size() + kDataFrameOverhead) -
-              (diff.size() + kDeltaFrameOverhead),
-          std::memory_order_relaxed);
-      peer.tx_cache.Advance(key, data.payload, base_seq + 1);
-      return Encode(DeltaFrame{data.src, data.dst, data.cat, obj, base_seq,
-                               Buf(std::move(diff))});
-    }
-  }
-  delta_misses_.fetch_add(1, std::memory_order_relaxed);
-  peer.tx_cache.Store(key, data.payload);
-  return Encode(std::move(data));
-}
-
-void SocketTransport::SendData(net::NodeId dst, DataFrame data) {
+void SocketTransport::SendData(net::NodeId dst, const DataFrame& data) {
   const std::size_t g = GroupOf(dst);
   HMDSM_CHECK(g != group_);
   Peer& peer = peers_[g];
@@ -1069,7 +934,7 @@ void SocketTransport::SendData(net::NodeId dst, DataFrame data) {
   {
     std::lock_guard lock(peer.mu);
     HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
-    Bytes frame = EncodeDataLocked(peer, std::move(data));
+    Bytes frame = Encode(data);
     if (peer.shm_tx) {
       // Ring write under peer.mu: the mutex is the single-writer contract
       // ShmTransport requires, and it orders ring records exactly like
@@ -1169,13 +1034,6 @@ void SocketTransport::ResetStats() {
   frames_coalesced_base_.store(
       frames_coalesced_.load(std::memory_order_acquire),
       std::memory_order_release);
-  delta_hits_base_.store(delta_hits_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  delta_misses_base_.store(delta_misses_.load(std::memory_order_acquire),
-                           std::memory_order_release);
-  delta_bytes_saved_base_.store(
-      delta_bytes_saved_.load(std::memory_order_acquire),
-      std::memory_order_release);
   shm_msgs_base_.store(shm_msgs_.load(std::memory_order_acquire),
                        std::memory_order_release);
   rx_buffer_allocs_base_.store(rx_pool_.buffer_allocs(),
@@ -1206,15 +1064,6 @@ void SocketTransport::AugmentSnapshot(net::NodeId node,
   into.Bump(stats::Ev::kWireFramesCoalesced,
             frames_coalesced_.load(std::memory_order_acquire) -
                 frames_coalesced_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaHits,
-            delta_hits_.load(std::memory_order_acquire) -
-                delta_hits_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaMisses,
-            delta_misses_.load(std::memory_order_acquire) -
-                delta_misses_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaBytesSaved,
-            delta_bytes_saved_.load(std::memory_order_acquire) -
-                delta_bytes_saved_base_.load(std::memory_order_acquire));
   into.Bump(stats::Ev::kShmMsgs,
             shm_msgs_.load(std::memory_order_acquire) -
                 shm_msgs_base_.load(std::memory_order_acquire));

@@ -61,26 +61,18 @@
 // conservation law over *all* inter-process data traffic regardless of
 // which medium carried it.
 //
-// Hot-path extensions (protocol v7, both negotiated per link at handshake):
-//
-//   * Wire deltas — each link keeps a per-(rank, object) cache of the last
-//     transmitted payload on both ends (netio/delta.h has the lockstep
-//     argument). An ObjReply or DiffMsg whose previous version the receiver
-//     still holds goes out as a kDelta frame carrying only the dsm::Diff
-//     runs against that version; anything else falls back to a full frame,
-//     which is also what re-primes the cache. MigrateReply erases the
-//     object's entry on both ends.
-//   * Shared-memory rings — when two processes share a host (identity hash
-//     exchanged in the Hello), data frames skip TCP and travel a per-
-//     direction SPSC ring in the receiver's shm segment (netio/shm.h).
-//     Control frames and heartbeats stay on TCP: the liveness plane keeps
-//     measuring the real socket, and the coordinator planes are safe off
-//     the data path because quiescence is monotone-counter-based (not
-//     ordering-based), stats resets run only at global quiescence, and
-//     run-start gating is ack-causal (the lead only starts after every
-//     process acknowledged setup). The one data/control ordering hazard is
-//     at attach time: if the TCP queue already holds data frames when shm
-//     comes up, the link simply stays on TCP — never reorder, just decline.
+// Shared-memory rings (negotiated per link at handshake): when two
+// processes share a host (identity hash exchanged in the Hello), data
+// frames skip TCP and travel a per-direction SPSC ring in the receiver's
+// shm segment (netio/shm.h). Data frames have one encoding on either
+// medium. Control frames and heartbeats stay on TCP: the liveness plane
+// keeps measuring the real socket, and the coordinator planes are safe off
+// the data path because quiescence is monotone-counter-based (not
+// ordering-based), stats resets run only at global quiescence, and
+// run-start gating is ack-causal (the lead only starts after every process
+// acknowledged setup). The one data/control ordering hazard is at attach
+// time: if the TCP queue already holds data frames when shm comes up, the
+// link simply stays on TCP — never reorder, just decline.
 #pragma once
 
 #include <atomic>
@@ -93,7 +85,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/netio/delta.h"
 #include "src/netio/frame.h"
 #include "src/netio/shm.h"
 #include "src/netio/socket.h"
@@ -128,14 +119,6 @@ struct SocketTransportOptions {
   int connect_timeout_ms = 30000;
   /// Frames above this are a protocol violation (checked pre-allocation).
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Adaptive frame batching: a reactor flush that finds more than one
-  /// frame queued coalesces up to the budgets below into one Batch image —
-  /// one wire write — and flushes immediately (no batching, no added
-  /// latency) whenever the queue drains to a single frame. Off: one write
-  /// per frame, the v1 behavior.
-  bool batch_frames = true;
-  std::size_t max_batch_frames = 64;
-  std::size_t max_batch_bytes = 64 * 1024;
   /// Latency histograms: stamp packets entering the local mailboxes
   /// (dwell) and time each wire writev(2) (syscall latency). The cost is
   /// one clock read per packet / two per write; off leaves the hot path
@@ -146,10 +129,6 @@ struct SocketTransportOptions {
   /// the ack feeds that link's RTT histogram and last-heard clock. 0
   /// disables the plane entirely (no timerfd, no probe traffic).
   std::size_t heartbeat_interval_ms = 250;
-  /// v7 wire deltas: diff-encode eligible data payloads against the last
-  /// version the receiver holds (see the file comment). Effective on a link
-  /// only when both ends advertise it.
-  bool wire_delta = true;
   /// Shared-memory rings for co-located processes. Effective on a link only
   /// when both ends advertise it and report the same host identity;
   /// degrades to TCP on any setup failure.
@@ -270,21 +249,9 @@ class SocketTransport final : public runtime::MailboxTransport {
     return frames_coalesced_.load(std::memory_order_acquire);
   }
 
-  /// Hot-path accounting (process totals since transport start; the
-  /// measured-window versions travel through AugmentSnapshot).
-  /// delta_hits: data frames that left as kDelta; delta_misses: eligible
-  /// frames sent full (cache miss, size change, or diff not smaller);
-  /// delta_bytes_saved: wire bytes avoided by the hits; shm_msgs: data
-  /// frames that took a shared-memory ring instead of TCP.
-  std::uint64_t delta_hits() const {
-    return delta_hits_.load(std::memory_order_acquire);
-  }
-  std::uint64_t delta_misses() const {
-    return delta_misses_.load(std::memory_order_acquire);
-  }
-  std::uint64_t delta_bytes_saved() const {
-    return delta_bytes_saved_.load(std::memory_order_acquire);
-  }
+  /// Data frames that took a shared-memory ring instead of TCP (process
+  /// total since transport start; the measured-window version travels
+  /// through AugmentSnapshot).
   std::uint64_t shm_msgs() const {
     return shm_msgs_.load(std::memory_order_acquire);
   }
@@ -387,31 +354,17 @@ class SocketTransport final : public runtime::MailboxTransport {
     std::atomic<std::uint64_t> epollout_arms{0};
     std::atomic<std::uint64_t> kicks{0};
     std::atomic<std::uint64_t> frames_dropped{0};
-    /// Both ends of this link advertised wire deltas. Written once by the
-    /// connector before `registered` flips (and before the HelloAck leaves
-    /// on the accept side), so every thread that can observe a data frame
-    /// for this link already sees it set — reactor thread via the epoll
-    /// ADD, shm reader via the registered gate.
-    std::atomic<bool> delta_on{false};
     std::atomic<std::uint64_t> shm_msgs_sent{0};
     mutable std::mutex mu;    // guards queue + queue_bytes + closed + rtt
-                              // + tx_cache + shm_tx
+                              // + shm_tx
     std::deque<Bytes> queue;  // encoded frames awaiting the reactor
     std::size_t queue_bytes = 0;  // payload bytes queued (backlog gauge)
     stats::Histogram rtt;     // heartbeat round-trips
     bool closed = false;      // no further enqueues
     bool connected = false;   // guarded by mesh_mu_
-    /// Send-side delta cache. Mutated under `mu`, in the same critical
-    /// section as the enqueue/ring-write — cache order and channel order
-    /// must be the same order (the lockstep invariant, netio/delta.h).
-    DeltaCache tx_cache;
     /// Data frames go via the shm ring (negotiated, attach succeeded, and
     /// no data frame was already queued on TCP at attach time).
     bool shm_tx = false;
-    // ---- receive-path state, owned by this link's single rx thread (the
-    // owning reactor thread, or the shm reader for ring frames — the kData/
-    // kDelta path is exactly one of the two by negotiation) ----
-    DeltaCache rx_cache;
     // ---- owning-I/O-thread state ----
     Byte head[4] = {};          // length-prefix accumulator
     std::size_t head_got = 0;   // 4 == currently filling in_box
@@ -454,11 +407,10 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   void ConnectorMain();
   /// Validates a fresh connection's handshake and adopts it into the
-  /// owning reactor thread's epoll set. `delta_on` is the negotiated AND of
-  /// both ends' wire-delta flags; `peer_shm_name` is non-empty when shm
-  /// negotiation succeeded (both flags + same host) and names the peer's
-  /// segment to attach for our writes toward it.
-  void RegisterPeer(std::size_t group, Fd fd, bool delta_on,
+  /// owning reactor thread's epoll set. `peer_shm_name` is non-empty when
+  /// shm negotiation succeeded (both flags + same host) and names the
+  /// peer's segment to attach for our writes toward it.
+  void RegisterPeer(std::size_t group, Fd fd,
                     const std::string& peer_shm_name);
   /// This process's handshake flags word (kHelloFlag*).
   std::uint32_t HelloFlags() const;
@@ -487,18 +439,9 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// Retires a mid-run-failed link: drops its queue, leaves the epoll set,
   /// and fires the peer-down handler (once). Reactor-thread context only.
   void MarkPeerDown(IoThread& t, std::size_t group, const std::string& why);
-  /// Remote data-frame send: encodes under the link lock (applying the
-  /// delta decision against tx_cache in channel order) and hands the frame
-  /// to the shm ring or the TCP queue.
-  void SendData(net::NodeId dst, DataFrame data);
-  /// The delta decision (under peer.mu): returns the encoded kDelta or
-  /// kData frame and mutates tx_cache with the matching lockstep op.
-  Bytes EncodeDataLocked(Peer& peer, DataFrame data);
-  /// Receive-side mirror of the lockstep op for a full data frame.
-  void NoteRxData(Peer& peer, const DataFrame& data);
-  /// Reconstructs a kDelta frame against rx_cache and delivers it; any
-  /// base mismatch or malformed diff is a protocol violation (Die).
-  void HandleDelta(std::size_t group, const Buf& frame);
+  /// Remote data-frame send: encodes and hands the frame to the shm ring
+  /// or the TCP queue under the link lock, so both media see one order.
+  void SendData(net::NodeId dst, const DataFrame& data);
   void EnqueueFrame(net::NodeId dst, Bytes frame);
   /// Forgiving enqueue for health-plane traffic: drops the frame (and
   /// counts it) when the link is down or closing instead of aborting —
@@ -544,17 +487,11 @@ class SocketTransport final : public runtime::MailboxTransport {
   std::atomic<std::uint64_t> socket_writes_{0};
   std::atomic<std::uint64_t> frames_enqueued_{0};
   std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> delta_hits_{0};
-  std::atomic<std::uint64_t> delta_misses_{0};
-  std::atomic<std::uint64_t> delta_bytes_saved_{0};
   std::atomic<std::uint64_t> shm_msgs_{0};
   // Measured-window baselines (ResetStats snapshots the atomics here).
   std::atomic<std::uint64_t> socket_writes_base_{0};
   std::atomic<std::uint64_t> frames_enqueued_base_{0};
   std::atomic<std::uint64_t> frames_coalesced_base_{0};
-  std::atomic<std::uint64_t> delta_hits_base_{0};
-  std::atomic<std::uint64_t> delta_misses_base_{0};
-  std::atomic<std::uint64_t> delta_bytes_saved_base_{0};
   std::atomic<std::uint64_t> shm_msgs_base_{0};
   std::atomic<std::uint64_t> rx_buffer_allocs_base_{0};
   // Per-local-rank baselines (atomics: live stats polling may snapshot

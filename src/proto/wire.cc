@@ -174,16 +174,6 @@ Kind PeekKind(ByteSpan wire) {
   return static_cast<Kind>(wire[0]);
 }
 
-bool PeekKindObject(ByteSpan wire, Kind* kind, std::uint64_t* obj) {
-  if (wire.size() < 9) return false;
-  *kind = static_cast<Kind>(wire[0]);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(wire[1 + i]) << (8 * i);
-  *obj = v;
-  return true;
-}
-
 namespace {
 
 AnyMsg DecodeImpl(Reader& r) {

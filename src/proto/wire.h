@@ -204,11 +204,4 @@ bool TryDecode(ByteSpan wire, AnyMsg* out, std::string* error);
 /// The kind of an encoded message without full decoding.
 Kind PeekKind(ByteSpan wire);
 
-/// Peeks the kind and object id of an encoded message without decoding the
-/// rest. Every object-addressed message opens [u8 kind][u64 obj], which is
-/// what the wire delta cache keys on. False when the payload is too short
-/// to carry that prefix (the caller treats it as not-cacheable, never as an
-/// error — the payload may legitimately be a sync message).
-bool PeekKindObject(ByteSpan wire, Kind* kind, std::uint64_t* obj);
-
 }  // namespace hmdsm::proto

@@ -42,9 +42,6 @@ std::string_view EvName(Ev ev) {
     case Ev::kSocketWrites: return "socket_writes";
     case Ev::kWireFramesEnqueued: return "wire_frames_enqueued";
     case Ev::kWireFramesCoalesced: return "wire_frames_coalesced";
-    case Ev::kWireDeltaHits: return "wire_delta_hits";
-    case Ev::kWireDeltaMisses: return "wire_delta_misses";
-    case Ev::kWireDeltaBytesSaved: return "wire_delta_bytes_saved";
     case Ev::kShmMsgs: return "shm_msgs";
     case Ev::kMailboxOverflowAllocs: return "mailbox_overflow_allocs";
     case Ev::kRxBufferAllocs: return "rx_buffer_allocs";

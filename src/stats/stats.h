@@ -44,10 +44,6 @@ enum class Ev : std::uint8_t {
   kSocketWrites,        // write(2) syscalls issued by writer threads
   kWireFramesEnqueued,  // frames handed to per-peer writer queues
   kWireFramesCoalesced, // frames that left inside a Batch frame
-  kWireDeltaHits,       // data frames that left as kDelta (v7 wire deltas)
-  kWireDeltaMisses,     // delta-eligible frames sent full (cache miss or
-                        // diff not smaller)
-  kWireDeltaBytesSaved, // full-frame bytes minus delta-frame bytes, summed
   kShmMsgs,             // data frames that took the shared-memory ring
   kMailboxOverflowAllocs, // overflow nodes allocated (not pool-recycled)
   kRxBufferAllocs,      // receive-path buffers allocated (not pool-recycled)

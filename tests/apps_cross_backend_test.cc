@@ -385,25 +385,21 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksInTwoProcesses) {
   EXPECT_EQ(UnpackResult(blob).answer, sim_res.checksum);
 }
 
-/// Ships the checksum plus the v7 hot-path counters so the lead test
-/// process can see whether deltas/shm actually fired cluster-wide.
+/// Ships the checksum plus the shm counter so the lead test process can see
+/// whether the rings actually carried data cluster-wide.
 Bytes PackHotPathResult(std::uint64_t answer, const gos::RunReport& report) {
   Writer w;
   w.u64(answer);
   w.u64(report.sent_messages);
   w.u64(report.received_messages);
   w.u64(report.shm_msgs);
-  w.u64(report.wire_delta_hits);
-  w.u64(report.wire_delta_misses);
-  w.u64(report.wire_delta_bytes_saved);
   return w.take();
 }
 
-// The full v7 hot path: 8 ranks in 2 co-located processes with wire deltas
-// AND the shared-memory rings explicitly on. The answer must still equal
-// the sim's, and the counters must show the run genuinely took the new
-// path — data frames rode the rings and the delta caches were consulted.
-TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
+// 8 ranks in 2 co-located processes with the shared-memory rings
+// explicitly on. The answer must still equal the sim's, and the counter
+// must show data frames genuinely rode the rings.
+TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithShm) {
   HMDSM_SKIP_UNDER_TSAN();
   workload::PatternParams params;
   params.pattern = "hotspot";
@@ -413,7 +409,6 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
       Opts(8, gos::Backend::kSim, false), scenario);
   const Bytes blob =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
-        vm.sockets.wire_delta = true;
         vm.sockets.shm = true;
         const auto r = workload::RunScenario(vm, scenario);
         return PackHotPathResult(r.checksum, r.report);
@@ -423,16 +418,10 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
   const std::uint64_t sent_messages = reader.u64();
   EXPECT_EQ(sent_messages, reader.u64()) << "message conservation";
   EXPECT_GT(reader.u64(), 0u) << "co-located data frames should ride shm";
-  const std::uint64_t delta_hits = reader.u64();
-  const std::uint64_t delta_misses = reader.u64();
-  EXPECT_GT(delta_hits + delta_misses, 0u)
-      << "object replies should consult the delta caches";
-  const std::uint64_t bytes_saved = reader.u64();
-  if (delta_hits == 0) EXPECT_EQ(bytes_saved, 0u);
 }
 
-// The same run with both hot-path features explicitly off is the control:
-// identical answer, and the counters prove the features stayed cold.
+// The same run with shm explicitly off is the control: identical answer,
+// and the counter proves the rings stayed cold.
 TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
   HMDSM_SKIP_UNDER_TSAN();
   workload::PatternParams params;
@@ -443,7 +432,6 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
       Opts(8, gos::Backend::kSim, false), scenario);
   const Bytes blob =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
-        vm.sockets.wire_delta = false;
         vm.sockets.shm = false;
         const auto r = workload::RunScenario(vm, scenario);
         return PackHotPathResult(r.checksum, r.report);
@@ -453,9 +441,6 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
   const std::uint64_t sent_messages = reader.u64();
   EXPECT_EQ(sent_messages, reader.u64());
   EXPECT_EQ(reader.u64(), 0u) << "shm was off";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no hits";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no misses";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no bytes saved";
 }
 
 TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {

@@ -119,13 +119,11 @@ class SocketMesh final : public Mesh {
   /// multi-rank-hosting shape the CLI's --ranks-per-proc forks), so
   /// same-group traffic crosses only local mailboxes while cross-group
   /// traffic takes the wire; `io_threads` sizes each reactor pool.
-  /// `wire_delta`/`shm` switch on the v7 hot-path features: delta-encoded
-  /// data frames and (since every group here lives in one test process,
-  /// i.e. trivially same-host) the shared-memory ring transport. The same
-  /// contract assertions must hold bit for bit on every wire.
+  /// `shm` switches on the shared-memory ring transport (every group here
+  /// lives in one test process, i.e. trivially same-host). The same
+  /// contract assertions must hold bit for bit on either wire.
   SocketMesh(std::size_t n, std::size_t ranks_per_proc,
-             std::size_t io_threads, bool wire_delta = false,
-             bool shm = false)
+             std::size_t io_threads, bool shm = false)
       : nodes_(n), rpp_(ranks_per_proc) {
     // Pre-bound ephemeral listeners, exactly like the self-fork launcher:
     // no fixed ports, so parallel test runs cannot collide. One listener
@@ -151,7 +149,6 @@ class SocketMesh final : public Mesh {
       o.ranks_per_proc = rpp_;
       o.io_threads = io_threads;
       o.listen_fd = fds[p];
-      o.wire_delta = wire_delta;
       o.shm = shm;
       groups_.push_back(std::make_unique<netio::SocketTransport>(o));
     }
@@ -198,9 +195,8 @@ enum class Impl {
   kChannel,
   kSocket,       // one rank per transport, default reactor pool, plain wire
   kSocketIo1,    // single reactor thread: serializes every peer's I/O
-  kSocketDelta,  // wire delta encoding on (kDelta frames + mirror caches)
   kSocketShm,    // same-host shm rings carry the data frames
-  kSocketMulti,  // two ranks per transport + the full delta+shm hot path
+  kSocketMulti,  // two ranks per transport, shm rings on
 };
 
 std::string ImplName(const ::testing::TestParamInfo<Impl>& info) {
@@ -209,7 +205,6 @@ std::string ImplName(const ::testing::TestParamInfo<Impl>& info) {
     case Impl::kChannel: return "ChannelTransport";
     case Impl::kSocket: return "SocketTransport";
     case Impl::kSocketIo1: return "SocketTransportSingleIoThread";
-    case Impl::kSocketDelta: return "SocketTransportWireDelta";
     case Impl::kSocketShm: return "SocketTransportShm";
     case Impl::kSocketMulti: return "SocketTransportMultiRank";
   }
@@ -222,15 +217,10 @@ std::unique_ptr<Mesh> MakeMesh(Impl impl, std::size_t nodes) {
     case Impl::kChannel: return std::make_unique<ChannelMesh>(nodes);
     case Impl::kSocket: return std::make_unique<SocketMesh>(nodes, 1, 4);
     case Impl::kSocketIo1: return std::make_unique<SocketMesh>(nodes, 1, 1);
-    case Impl::kSocketDelta:
-      return std::make_unique<SocketMesh>(nodes, 1, 4, /*wire_delta=*/true,
-                                          /*shm=*/false);
     case Impl::kSocketShm:
-      return std::make_unique<SocketMesh>(nodes, 1, 4, /*wire_delta=*/false,
-                                          /*shm=*/true);
+      return std::make_unique<SocketMesh>(nodes, 1, 4, /*shm=*/true);
     case Impl::kSocketMulti:
-      return std::make_unique<SocketMesh>(nodes, 2, 4, /*wire_delta=*/true,
-                                          /*shm=*/true);
+      return std::make_unique<SocketMesh>(nodes, 2, 4, /*shm=*/true);
   }
   return nullptr;
 }
@@ -348,7 +338,6 @@ TEST_P(TransportConformance, SelfSendIsAsynchronousAndFree) {
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformance,
                          ::testing::Values(Impl::kSim, Impl::kChannel,
                                            Impl::kSocket, Impl::kSocketIo1,
-                                           Impl::kSocketDelta,
                                            Impl::kSocketShm,
                                            Impl::kSocketMulti),
                          ImplName);

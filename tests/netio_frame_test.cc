@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/dsm/diff.h"
-
 namespace hmdsm::netio {
 namespace {
 
@@ -112,12 +110,16 @@ TEST(NetioFrame, StatsPollReplyRoundTripsRecorderWithHistograms) {
 TEST(NetioFrameDefense, EmptyAndUnknownTypeAreRejected) {
   FrameType type;
   EXPECT_FALSE(PeekType(ByteSpan(), &type));
-  const Bytes junk{0xEE, 1, 2, 3};
-  EXPECT_FALSE(PeekType(ByteSpan(junk), &type));
-  DataFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(junk), &out, &error));
-  EXPECT_FALSE(error.empty());
+  // 20 is the retired v7 delta frame's type byte: a v7 peer's delta frame
+  // must be rejected as unknown, never misparsed as some other frame.
+  for (const Byte unknown : {Byte{0xEE}, Byte{20}}) {
+    const Bytes junk{unknown, 1, 2, 3};
+    EXPECT_FALSE(PeekType(ByteSpan(junk), &type)) << int{unknown};
+    DataFrame out;
+    std::string error;
+    EXPECT_FALSE(TryDecode(ByteSpan(junk), &out, &error));
+    EXPECT_FALSE(error.empty());
+  }
 }
 
 TEST(NetioFrameDefense, WrongTypeIsRejected) {
@@ -438,7 +440,7 @@ TEST(NetioFrame, PeekTypeSeesHeartbeats) {
 }
 
 // ---------------------------------------------------------------------------
-// v7: wire delta frames + shm/delta handshake negotiation
+// v7: shm handshake negotiation
 // ---------------------------------------------------------------------------
 
 TEST(NetioFrame, HelloRoundTripCarriesV7Negotiation) {
@@ -446,11 +448,11 @@ TEST(NetioFrame, HelloRoundTripCarriesV7Negotiation) {
   in.node = 4;
   in.node_count = 8;
   in.ranks_per_proc = 2;
-  in.flags = kHelloFlagWireDelta | kHelloFlagShm;
+  in.flags = kHelloFlagShm;
   in.host_id = 0xDEADBEEFCAFEF00Dull;
   in.shm_name = "/hmdsm-1234-2-abc";
   const HelloFrame out = RoundTrip(in);
-  EXPECT_EQ(out.flags, kHelloFlagWireDelta | kHelloFlagShm);
+  EXPECT_EQ(out.flags, kHelloFlagShm);
   EXPECT_EQ(out.host_id, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(out.shm_name, "/hmdsm-1234-2-abc");
 }
@@ -465,170 +467,6 @@ TEST(NetioFrame, HelloAckRoundTripCarriesV7Negotiation) {
   EXPECT_EQ(out.flags, kHelloFlagShm);
   EXPECT_EQ(out.host_id, 7u);
   EXPECT_EQ(out.shm_name, "/hmdsm-99-0-1");
-}
-
-DeltaFrame MakeDelta(const Bytes& base, const Bytes& next) {
-  DeltaFrame f;
-  f.src = 1;
-  f.dst = 6;
-  f.cat = stats::MsgCat::kObj;
-  f.obj = 0x1122334455667788ull;
-  f.base_seq = 3;
-  f.diff = Bytes(dsm::Diff::Encode(ByteSpan(base), ByteSpan(next)));
-  return f;
-}
-
-TEST(NetioFrame, DeltaRoundTripRebuildsThePayload) {
-  Bytes base(128, Byte{0x40});
-  Bytes next = base;
-  next[7] = Byte{0x41};
-  next[100] = Byte{0x42};
-  const DeltaFrame out = RoundTrip(MakeDelta(base, next));
-  EXPECT_EQ(out.src, 1u);
-  EXPECT_EQ(out.dst, 6u);
-  EXPECT_EQ(out.obj, 0x1122334455667788ull);
-  EXPECT_EQ(out.base_seq, 3u);
-  Bytes rebuilt;
-  std::string error;
-  ASSERT_TRUE(dsm::Diff::TryApply(out.diff.span(), ByteSpan(base), &rebuilt,
-                                  &error))
-      << error;
-  EXPECT_EQ(rebuilt, next);
-}
-
-TEST(NetioFrame, DeltaBufDecodeAliasesTheWireFrame) {
-  // The diff must exceed Buf::kInlineCapacity, or the decoded view is
-  // (correctly) re-inlined instead of aliasing the frame buffer.
-  Bytes base(512, Byte{1});
-  Bytes next = base;
-  for (std::size_t i = 100; i < 300; ++i) next[i] = Byte{2};
-  const Buf wire = Bytes(Encode(MakeDelta(base, next)));
-  DeltaFrame out;
-  std::string error;
-  ASSERT_TRUE(TryDecode(wire, &out, &error)) << error;
-  EXPECT_GE(out.diff.data(), wire.data());
-  EXPECT_LT(out.diff.data(), wire.data() + wire.size());
-}
-
-TEST(NetioFrameDefense, DeltaTruncationIsAnErrorNotACrash) {
-  Bytes base(64, Byte{5});
-  Bytes next = base;
-  next[10] = Byte{6};
-  const Bytes wire = Encode(MakeDelta(base, next));
-  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
-    DeltaFrame out;
-    std::string error;
-    EXPECT_FALSE(
-        TryDecode(ByteSpan(wire.data(), wire.size() - cut), &out, &error))
-        << "cut " << cut;
-    EXPECT_FALSE(error.empty());
-  }
-}
-
-/// Hand-builds a delta frame around a raw diff blob, bypassing the diff
-/// encoder so hostile run structures reach the decoder.
-Bytes RawDeltaFrame(const Bytes& diff) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kDelta));
-  w.u32(1);  // src
-  w.u32(0);  // dst
-  w.u8(0);   // cat
-  w.u64(42);
-  w.u32(0);  // base_seq
-  w.bytes(diff);
-  return w.take();
-}
-
-TEST(NetioFrameDefense, DeltaHostileRunCountIsRejectedBeforeLooping) {
-  // run_count = 2^32-1 backed by 4 real bytes: the per-run minimum bound
-  // must reject it before the decoder walks phantom runs.
-  Writer d;
-  d.u32(64);           // object size
-  d.u32(0xFFFFFFFFu);  // hostile run count
-  d.u32(0);            // a lone partial run header
-  DeltaFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(RawDeltaFrame(d.take())), &out, &error));
-  EXPECT_NE(error.find("run count"), std::string::npos);
-}
-
-TEST(NetioFrameDefense, DeltaOutOfOrderRunsAreRejected) {
-  Writer d;
-  d.u32(64);  // object size
-  d.u32(2);   // two runs, second starting before the first ended
-  d.u32(10);
-  d.u32(4);
-  d.raw(Bytes(4, Byte{1}));  // raw: diff runs carry no length prefix
-  d.u32(8);  // overlaps [10,14)
-  d.u32(4);
-  d.raw(Bytes(4, Byte{2}));
-  DeltaFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(RawDeltaFrame(d.take())), &out, &error));
-  EXPECT_NE(error.find("order"), std::string::npos);
-}
-
-TEST(NetioFrameDefense, DeltaRunPastObjectBoundsIsRejected) {
-  Writer d;
-  d.u32(16);  // object size
-  d.u32(1);
-  d.u32(12);  // offset 12 + length 8 = 20 > 16
-  d.u32(8);
-  d.raw(Bytes(8, Byte{3}));
-  DeltaFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(RawDeltaFrame(d.take())), &out, &error));
-  EXPECT_NE(error.find("bounds"), std::string::npos);
-}
-
-TEST(NetioFrameDefense, DeltaTrailingGarbageAfterRunsIsRejected) {
-  Bytes base(32, Byte{0});
-  Bytes next = base;
-  next[1] = Byte{1};
-  Bytes diff = dsm::Diff::Encode(ByteSpan(base), ByteSpan(next));
-  diff.push_back(0xAB);
-  DeltaFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(RawDeltaFrame(diff)), &out, &error));
-  EXPECT_NE(error.find("trailing"), std::string::npos);
-}
-
-TEST(NetioFrameDefense, DeltaOutOfRangeCategoryIsRejected) {
-  Bytes base(8, Byte{0});
-  Bytes next = base;
-  next[0] = Byte{1};
-  Bytes wire = Encode(MakeDelta(base, next));
-  wire[9] = 0xFF;  // the cat byte (type + src + dst precede it)
-  DeltaFrame out;
-  std::string error;
-  EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
-  EXPECT_NE(error.find("category"), std::string::npos);
-}
-
-TEST(NetioFrameDefense, DeltaAppliedToAStaleBaseFails) {
-  // A structurally valid diff applied against the wrong base size must be
-  // a clean failure in Diff::TryApply — this is the receiver's last line
-  // of defense if its cache ever held a different version than the sender
-  // diffed against.
-  Bytes base(64, Byte{9});
-  Bytes next = base;
-  next[63] = Byte{10};
-  const DeltaFrame out = RoundTrip(MakeDelta(base, next));
-  const Bytes stale(32, Byte{9});  // wrong object size
-  Bytes rebuilt;
-  std::string error;
-  EXPECT_FALSE(dsm::Diff::TryApply(out.diff.span(), ByteSpan(stale),
-                                   &rebuilt, &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(NetioFrame, PeekTypeSeesDeltas) {
-  Bytes base(8, Byte{0});
-  Bytes next = base;
-  next[2] = Byte{1};
-  FrameType type;
-  ASSERT_TRUE(PeekType(ByteSpan(Encode(MakeDelta(base, next))), &type));
-  EXPECT_EQ(type, FrameType::kDelta);
 }
 
 }  // namespace

@@ -88,8 +88,6 @@ int Usage(const char* error) {
       "               stderr)\n"
       "             --heartbeat-interval=MS  per-link liveness probe period\n"
       "               (sockets only; default 250, 0 disables heartbeats)\n"
-      "             --wire-delta=0|1   delta-encode repeat object payloads\n"
-      "               on the wire (sockets only; default on)\n"
       "             --shm=0|1          shared-memory rings between same-host\n"
       "               processes for data frames (sockets only; default on)\n"
       "             --audit=0|1        migration decision ledger (default on)\n"
@@ -168,11 +166,7 @@ void PrintReport(const gos::RunReport& r, bool wall_clock = false,
       static_cast<unsigned long long>(r.exclusive_home_writes));
   if (r.socket_writes > 0 || r.shm_msgs > 0) {
     std::printf(
-        "wire: delta-hits=%llu delta-misses=%llu delta-bytes-saved=%llu "
-        "shm-msgs=%llu overflow-allocs=%llu rx-buffer-allocs=%llu\n",
-        static_cast<unsigned long long>(r.wire_delta_hits),
-        static_cast<unsigned long long>(r.wire_delta_misses),
-        static_cast<unsigned long long>(r.wire_delta_bytes_saved),
+        "wire: shm-msgs=%llu overflow-allocs=%llu rx-buffer-allocs=%llu\n",
         static_cast<unsigned long long>(r.shm_msgs),
         static_cast<unsigned long long>(r.mailbox_overflow_allocs),
         static_cast<unsigned long long>(r.rx_buffer_allocs));
@@ -431,11 +425,6 @@ int main(int argc, char** argv) {
     const std::int64_t hb = flags.GetInt("heartbeat-interval", 250);
     if (hb < 0) return Usage("--heartbeat-interval must be >= 0 (ms)");
     vm.sockets.heartbeat_interval_ms = static_cast<std::size_t>(hb);
-  }
-  if (flags.Has("wire-delta")) {
-    if (vm.backend != gos::Backend::kSockets)
-      return Usage("--wire-delta needs --backend=sockets");
-    vm.sockets.wire_delta = flags.GetBool("wire-delta", true);
   }
   if (flags.Has("shm")) {
     if (vm.backend != gos::Backend::kSockets)
