@@ -17,6 +17,9 @@ void ObjPolicyState::Encode(Writer& w) const {
   w.u32(consecutive_writer);
   w.u64(redirected_requests);
   w.u64(exclusive_home_writes);
+  w.u32(piggyback_writer);
+  w.u64(piggyback_switches);
+  w.u32(sync_home);
   w.u32(epoch);
   w.u8(home_written_since_remote ? 1 : 0);
   w.f64(avg_diff_bytes);
@@ -35,6 +38,9 @@ ObjPolicyState ObjPolicyState::Decode(Reader& r) {
   s.consecutive_writer = r.u32();
   s.redirected_requests = r.u64();
   s.exclusive_home_writes = r.u64();
+  s.piggyback_writer = r.u32();
+  s.piggyback_switches = r.u64();
+  s.sync_home = r.u32();
   s.epoch = r.u32();
   s.home_written_since_remote = r.u8() != 0;
   s.avg_diff_bytes = r.f64();
@@ -58,6 +64,8 @@ void MigrationPolicy::OnMigrated(ObjPolicyState& state, std::size_t) const {
   state.consecutive_writer = kNoNode;
   state.redirected_requests = 0;
   state.exclusive_home_writes = 0;
+  state.piggyback_writer = kNoNode;
+  state.piggyback_switches = 0;
   state.home_written_since_remote = false;
   state.sole_recent_requester = kNoNode;
   state.mixed_requesters = false;
@@ -125,19 +133,25 @@ double AdaptiveThresholdPolicy::Alpha(const ObjPolicyState& state,
 double AdaptiveThresholdPolicy::LiveThreshold(const ObjPolicyState& state,
                                               std::size_t object_bytes) const {
   // Paper Eq. (2): T_i = max(T_{i-1} + λ(R_i − α·E_i), T_init), evaluated
-  // with the counters accumulated so far in the current epoch.
+  // with the counters accumulated so far in the current epoch. S_i, the
+  // piggybacks a move would lose, is negative feedback like R_i.
   const double r = static_cast<double>(state.redirected_requests);
+  const double s = static_cast<double>(state.piggyback_switches);
   const double e = static_cast<double>(state.exclusive_home_writes);
   const double t = state.frozen_threshold +
                    params_.feedback_coefficient *
-                       (r - Alpha(state, object_bytes) * e);
+                       (r + s - Alpha(state, object_bytes) * e);
   return std::max(t, params_.initial_threshold);
 }
 
 bool AdaptiveThresholdPolicy::ShouldMigrate(const ObjPolicyState& state,
                                             NodeId requester,
                                             std::size_t object_bytes,
-                                            bool) const {
+                                            bool for_write) const {
+  // A sync manager that collected several writers' piggybacks takes the
+  // home back when it writes: the others' diffs then ride sync messages
+  // again.
+  if (for_write && requester == state.sync_home) return true;
   // Paper Eq. (1): migrate when C reaches T — operationally, when the
   // consecutive writer requests the object again with C at/above the live
   // threshold.

@@ -40,6 +40,18 @@ struct ObjPolicyState {
   std::uint64_t exclusive_home_writes = 0;
   std::uint32_t epoch = 0;  // number of completed home migrations
 
+  // Sync locality: the writer of the last diff that rode a sync message
+  // (lock acquire/release, barrier arrival) to this home, and how often
+  // that writer changed this epoch. Each change means a second writer's
+  // diff reached the home for free; moving the home off the sync manager
+  // would turn every such diff into a standalone diff+ack pair.
+  NodeId piggyback_writer = kNoNode;
+  std::uint64_t piggyback_switches = 0;
+  // The last home that collected piggybacked diffs from more than one
+  // writer (kNoNode if none yet). Survives migrations, so AT can hand the
+  // object back when that sync manager write-faults it.
+  NodeId sync_home = kNoNode;
+
   // E-detection: true when a home write has occurred with no remote write
   // after it (the next home write is then "exclusive").
   bool home_written_since_remote = false;
@@ -117,6 +129,17 @@ struct ObjPolicyState {
   /// An object request arrived after `hops` redirections (negative
   /// feedback R, counted with accumulation).
   void RecordRedirectHops(std::uint32_t hops) { redirected_requests += hops; }
+
+  /// A diff from `writer` rode a sync message to `home`, the message's
+  /// manager and this object's home (negative feedback S when the
+  /// piggybacking writer changed).
+  void RecordPiggyback(NodeId writer, NodeId home) {
+    if (piggyback_writer != kNoNode && piggyback_writer != writer) {
+      ++piggyback_switches;
+      sync_home = home;
+    }
+    piggyback_writer = writer;
+  }
 
   void RecordDiffSize(std::size_t payload_bytes) {
     ++diff_samples;
@@ -198,9 +221,15 @@ struct AdaptiveParams {
   double fixed_alpha = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// "AT": the paper's adaptive-threshold protocol.
-///   T_i = max(T_{i-1} + λ(R_i − α·E_i), T_init),  T_0 = T_init = 1
+/// "AT": the paper's adaptive-threshold protocol, plus a sync-locality term.
+///   T_i = max(T_{i-1} + λ(R_i + S_i − α·E_i), T_init),  T_0 = T_init = 1
 ///   migrate when C_i ≥ T_i and the requester is the consecutive writer.
+/// S_i counts changes of the piggybacking writer at the home: while the
+/// home is the lock/barrier manager, several writers' diffs ride their
+/// sync messages for free, and each of them would become a standalone
+/// diff+ack pair once the home moved away. With one piggybacking writer
+/// S_i stays 0 and the rule is the paper's. A write fault from the object's
+/// `sync_home` moves the home back to that manager.
 class AdaptiveThresholdPolicy final : public MigrationPolicy {
  public:
   explicit AdaptiveThresholdPolicy(AdaptiveParams params = {});

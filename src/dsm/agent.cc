@@ -281,6 +281,7 @@ void Agent::ServeAtHome(NodeId requester, const proto::ObjRequest& msg) {
     d.consecutive_writer = entry.pol.consecutive_writer;
     d.redirects = entry.pol.redirected_requests;
     d.exclusive_home_writes = entry.pol.exclusive_home_writes;
+    d.piggyback_switches = entry.pol.piggyback_switches;
     d.threshold = threshold;
     d.object_bytes = entry.data.size();
     d.for_write = msg.for_write;
@@ -392,7 +393,7 @@ void Agent::OnMigrateReply(NodeId, proto::MigrateReply msg) {
     HMDSM_CHECK(home_it != homes_.end());
     ApplyDiffAtHome(home_it->second, msg.obj, dm.writer, dm.diff);
     if (dm.ack_required) {
-      SendMsg(dm.writer, MsgCat::kDiff,
+      SendMsg(dm.ack_to, MsgCat::kDiff,
               proto::Encode(proto::DiffAck{dm.ack_tag}));
     }
   }
@@ -493,7 +494,7 @@ void Agent::OnDiff(NodeId /*src*/, proto::DiffMsg msg) {
   if (auto it = homes_.find(msg.obj); it != homes_.end()) {
     ApplyDiffAtHome(it->second, msg.obj, writer, msg.diff);
     if (msg.ack_required) {
-      SendMsg(writer, MsgCat::kDiff,
+      SendMsg(msg.ack_to, MsgCat::kDiff,
               proto::Encode(proto::DiffAck{msg.ack_tag}));
     }
     return;
@@ -512,19 +513,31 @@ void Agent::OnDiff(NodeId /*src*/, proto::DiffMsg msg) {
   HMDSM_CHECK_MSG(false, "diff for object unknown at node " << node_);
 }
 
-void Agent::ApplyPiggybacked(
-    NodeId src, std::vector<std::pair<ObjectId, Bytes>>& diffs) {
+template <typename Fn>
+void Agent::ApplyPiggybacked(NodeId src,
+                             std::vector<std::pair<ObjectId, Bytes>>& diffs,
+                             Fn&& then) {
+  std::uint64_t tag = 0;
   for (auto& [obj, diff] : diffs) {
     recorder_.Bump(Ev::kPiggybackedDiffs);
     if (auto it = homes_.find(obj); it != homes_.end()) {
       ApplyDiffAtHome(it->second, obj, src, diff);
+      it->second.pol.RecordPiggyback(src, node_);
     } else if (forwards_.contains(obj)) {
       // The object's home moved after the sender chose to piggyback;
-      // forward as a standalone diff.
-      ForwardDiff(src, proto::DiffMsg{obj, std::move(diff), 0, false, src});
+      // forward as a standalone diff, acknowledged back to us.
+      if (tag == 0) tag = next_ack_tag_++;
+      ++pending_acks_[tag].remaining;
+      ForwardDiff(src,
+                  proto::DiffMsg{obj, std::move(diff), tag, true, src, node_});
     } else {
       HMDSM_CHECK_MSG(false, "piggybacked diff for unknown object");
     }
+  }
+  if (tag == 0) {
+    then();
+  } else {
+    pending_acks_[tag].then = std::forward<Fn>(then);
   }
 }
 
@@ -554,8 +567,14 @@ void Agent::OnDiffAck(proto::DiffAck msg) {
   auto it = pending_acks_.find(msg.ack_tag);
   HMDSM_CHECK_MSG(it != pending_acks_.end(), "stray diff ack");
   HMDSM_CHECK(it->second.remaining > 0);
-  if (--it->second.remaining == 0 && !it->second.waiter.empty())
+  if (--it->second.remaining > 0) return;
+  if (it->second.then) {
+    std::function<void()> then = std::move(it->second.then);
+    pending_acks_.erase(it);
+    then();
+  } else if (!it->second.waiter.empty()) {
     it->second.waiter.NotifyOne();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -596,15 +615,16 @@ void Agent::Release(runtime::Exec& proc, LockId lock) {
 }
 
 void Agent::OnLockAcquire(NodeId src, proto::LockAcquireMsg msg) {
-  ApplyPiggybacked(src, msg.piggybacked_diffs);
-  LockState& ls = managed_locks_[msg.lock];
-  if (ls.holder == kNoNode) {
-    ls.holder = src;
-    Emit(trace::What::kLockGranted, msg.lock.value, src);
-    SendMsg(src, MsgCat::kSync, proto::Encode(proto::LockGrantMsg{msg.lock}));
-  } else {
-    ls.queue.push_back(src);
-  }
+  ApplyPiggybacked(src, msg.piggybacked_diffs, [this, src, lock = msg.lock] {
+    LockState& ls = managed_locks_[lock];
+    if (ls.holder == kNoNode) {
+      ls.holder = src;
+      Emit(trace::What::kLockGranted, lock.value, src);
+      SendMsg(src, MsgCat::kSync, proto::Encode(proto::LockGrantMsg{lock}));
+    } else {
+      ls.queue.push_back(src);
+    }
+  });
 }
 
 void Agent::OnLockGrant(proto::LockGrantMsg msg) {
@@ -617,19 +637,20 @@ void Agent::OnLockGrant(proto::LockGrantMsg msg) {
 void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
   // Apply piggybacked diffs before the handoff so the next holder faults in
   // up-to-date data (the manager is the home of these objects).
-  ApplyPiggybacked(src, msg.piggybacked_diffs);
-  LockState& ls = managed_locks_[msg.lock];
-  HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
-  if (ls.queue.empty()) {
-    ls.holder = kNoNode;
-  } else {
-    ls.holder = ls.queue.front();
-    ls.queue.pop_front();
-    recorder_.Bump(Ev::kLockHandoffs);
-    Emit(trace::What::kLockGranted, msg.lock.value, ls.holder);
-    SendMsg(ls.holder, MsgCat::kSync,
-            proto::Encode(proto::LockGrantMsg{msg.lock}));
-  }
+  ApplyPiggybacked(src, msg.piggybacked_diffs, [this, src, lock = msg.lock] {
+    LockState& ls = managed_locks_[lock];
+    HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
+    if (ls.queue.empty()) {
+      ls.holder = kNoNode;
+    } else {
+      ls.holder = ls.queue.front();
+      ls.queue.pop_front();
+      recorder_.Bump(Ev::kLockHandoffs);
+      Emit(trace::What::kLockGranted, lock.value, ls.holder);
+      SendMsg(ls.holder, MsgCat::kSync,
+              proto::Encode(proto::LockGrantMsg{lock}));
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -653,21 +674,24 @@ void Agent::Barrier(runtime::Exec& proc, BarrierId barrier,
 }
 
 void Agent::OnBarrierArrive(NodeId src, proto::BarrierArriveMsg msg) {
-  ApplyPiggybacked(src, msg.piggybacked_diffs);
-  BarrierState& bs = managed_barriers_[msg.barrier];
-  if (bs.expected == 0) bs.expected = msg.expected;
-  HMDSM_CHECK_MSG(bs.expected == msg.expected,
-                  "barrier participant-count mismatch");
-  bs.arrivals.push_back(src);
-  if (bs.arrivals.size() == bs.expected) {
-    Emit(trace::What::kBarrierDone, msg.barrier.value, kNoNode,
-         static_cast<std::int64_t>(bs.expected));
-    for (NodeId dst : bs.arrivals) {
-      SendMsg(dst, MsgCat::kSync,
-              proto::Encode(proto::BarrierReleaseMsg{msg.barrier}));
+  ApplyPiggybacked(src, msg.piggybacked_diffs,
+                   [this, src, barrier = msg.barrier,
+                    expected = msg.expected] {
+    BarrierState& bs = managed_barriers_[barrier];
+    if (bs.expected == 0) bs.expected = expected;
+    HMDSM_CHECK_MSG(bs.expected == expected,
+                    "barrier participant-count mismatch");
+    bs.arrivals.push_back(src);
+    if (bs.arrivals.size() == bs.expected) {
+      Emit(trace::What::kBarrierDone, barrier.value, kNoNode,
+           static_cast<std::int64_t>(bs.expected));
+      for (NodeId dst : bs.arrivals) {
+        SendMsg(dst, MsgCat::kSync,
+                proto::Encode(proto::BarrierReleaseMsg{barrier}));
+      }
+      managed_barriers_.erase(barrier);
     }
-    managed_barriers_.erase(msg.barrier);
-  }
+  });
 }
 
 void Agent::OnBarrierRelease(proto::BarrierReleaseMsg msg) {
@@ -708,8 +732,8 @@ std::vector<std::pair<ObjectId, Bytes>> Agent::FlushDirty(
       Emit(trace::What::kDiffSent, obj.value, home,
            static_cast<std::int64_t>(diff.size()));
       SendMsg(home, MsgCat::kDiff,
-              proto::Encode(
-                  proto::DiffMsg{obj, std::move(diff), tag, true, node_}));
+              proto::Encode(proto::DiffMsg{obj, std::move(diff), tag, true,
+                                       node_, node_}));
     }
   }
 

@@ -147,6 +147,9 @@ class Agent {
   struct AckWait {
     std::uint32_t remaining = 0;
     runtime::WaitQueue waiter;
+    // Delivery-context continuation run on the last ack (a sync manager
+    // waiting for forwarded piggybacked diffs cannot block).
+    std::function<void()> then;
   };
 
   // ---- messaging ----
@@ -193,9 +196,15 @@ class Agent {
   /// pointer.
   void ForwardDiff(NodeId writer, proto::DiffMsg&& msg);
 
-  /// Applies diffs that rode a sync message (acquire/release/barrier).
+  /// Applies diffs that rode a sync message (acquire/release/barrier),
+  /// then runs `then`, which completes the sync operation. A diff whose
+  /// home has moved is forwarded with an ack back to us, and `then` waits
+  /// for those acks: a lock handoff or barrier release must not overtake
+  /// the writes it publishes.
+  template <typename Fn>
   void ApplyPiggybacked(NodeId src,
-                        std::vector<std::pair<ObjectId, Bytes>>& diffs);
+                        std::vector<std::pair<ObjectId, Bytes>>& diffs,
+                        Fn&& then);
 
   /// Ensures a valid local copy (home or cache); may block `proc`.
   void EnsureValidCopy(runtime::Exec& proc, ObjectId obj, bool for_write);

@@ -42,7 +42,10 @@ namespace hmdsm::netio {
 /// host identity in the handshake); the recorder serialization also grew
 /// new event counters. v8: the v7 wire delta encoding is gone (its frame
 /// type byte is now unknown) and the recorder drops its three counters.
-constexpr std::uint32_t kProtocolVersion = 8;
+/// v9: DiffMsg names its ack's destination (a sync manager acks the
+/// piggybacked diffs it forwards), and the migrating policy state and the
+/// ledger's decisions carry the sync-locality count.
+constexpr std::uint32_t kProtocolVersion = 9;
 
 /// Hello/HelloAck feature flags. A feature is active on a link only when
 /// *both* ends advertise it, so mixed command lines degrade to the common

@@ -77,6 +77,7 @@ Bytes Encode(const DiffMsg& m) {
   w.u64(m.ack_tag);
   w.u8(m.ack_required ? 1 : 0);
   w.u32(m.writer);
+  w.u32(m.ack_to);
   return w.take();
 }
 
@@ -214,6 +215,7 @@ AnyMsg DecodeImpl(Reader& r) {
       m.ack_tag = r.u64();
       m.ack_required = r.u8() != 0;
       m.writer = r.u32();
+      m.ack_to = r.u32();
       return m;
     }
     case Kind::kDiffAck: {

@@ -88,6 +88,9 @@ struct DiffMsg {
   std::uint64_t ack_tag = 0;
   bool ack_required = true;
   NodeId writer = dsm::kNoNode;
+  /// Where the DiffAck goes: the writer for a standalone diff, the sync
+  /// manager for a piggybacked diff it forwarded to a moved home.
+  NodeId ack_to = dsm::kNoNode;
 };
 
 struct DiffAck {

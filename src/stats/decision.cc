@@ -13,6 +13,7 @@ void Decision::Encode(Writer& w) const {
   w.u32(consecutive_writer);
   w.u64(redirects);
   w.u64(exclusive_home_writes);
+  w.u64(piggyback_switches);
   w.f64(threshold);
   w.u64(object_bytes);
   w.u8(static_cast<std::uint8_t>((for_write ? 1 : 0) | (migrate ? 2 : 0)));
@@ -30,6 +31,7 @@ Decision Decision::Decode(Reader& r) {
   d.consecutive_writer = r.u32();
   d.redirects = r.u64();
   d.exclusive_home_writes = r.u64();
+  d.piggyback_switches = r.u64();
   d.threshold = r.f64();
   d.object_bytes = r.u64();
   const std::uint8_t flags = r.u8();

@@ -31,6 +31,7 @@ struct Decision {
   std::uint32_t consecutive_writer = 0;  // node that accumulated C_i
   std::uint64_t redirects = 0;           // paper's R_i (accumulated hops)
   std::uint64_t exclusive_home_writes = 0;  // paper's E_i
+  std::uint64_t piggyback_switches = 0;     // sync-locality S_i
   double threshold = 0.0;        // live T_i at decision time
   std::uint64_t object_bytes = 0;
   bool for_write = false;
@@ -55,7 +56,7 @@ class DecisionLedger {
 
   /// Bytes one encoded Decision occupies on the wire (fixed shape) — the
   /// hostile-decode bound for the record count.
-  static constexpr std::size_t kWireBytes = 73;
+  static constexpr std::size_t kWireBytes = 81;
 
   void Record(const Decision& d) {
     if (decisions_.size() == kCapacity) {

@@ -18,6 +18,7 @@ void WriteDecisionJson(JsonWriter& jw, const Decision& d) {
   jw.Key("consecutive_writer").Uint(d.consecutive_writer);
   jw.Key("redirects").Uint(d.redirects);
   jw.Key("exclusive_home_writes").Uint(d.exclusive_home_writes);
+  jw.Key("piggyback_switches").Uint(d.piggyback_switches);
   // The NoHM policy's live threshold is +infinity ("never migrate"), which
   // JSON cannot represent as a number.
   if (std::isfinite(d.threshold))

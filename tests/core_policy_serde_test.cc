@@ -33,6 +33,9 @@ TEST(ObjPolicyStateSerde, EveryFieldSurvives) {
   s.consecutive_writer = 3;
   s.redirected_requests = 0x123456789ull;
   s.exclusive_home_writes = 0xABCDEFull;
+  s.piggyback_writer = 2;
+  s.piggyback_switches = 0x5A5A5A5A5Aull;
+  s.sync_home = 8;
   s.epoch = 42;
   s.home_written_since_remote = true;
   s.avg_diff_bytes = 873.5;
@@ -52,6 +55,9 @@ TEST(ObjPolicyStateSerde, EveryFieldSurvives) {
   EXPECT_EQ(out.consecutive_writer, 3u);
   EXPECT_EQ(out.redirected_requests, 0x123456789ull);
   EXPECT_EQ(out.exclusive_home_writes, 0xABCDEFull);
+  EXPECT_EQ(out.piggyback_writer, 2u);
+  EXPECT_EQ(out.piggyback_switches, 0x5A5A5A5A5Aull);
+  EXPECT_EQ(out.sync_home, 8u);
   EXPECT_EQ(out.epoch, 42u);
   EXPECT_TRUE(out.home_written_since_remote);
   EXPECT_DOUBLE_EQ(out.avg_diff_bytes, 873.5);
@@ -66,6 +72,8 @@ TEST(ObjPolicyStateSerde, EveryFieldSurvives) {
 TEST(ObjPolicyStateSerde, SentinelNodeIdsSurvive) {
   ObjPolicyState s;
   s.consecutive_writer = dsm::kNoNode;
+  s.piggyback_writer = dsm::kNoNode;
+  s.sync_home = dsm::kNoNode;
   s.sole_recent_requester = dsm::kNoNode;
   s.epoch_writer = dsm::kNoNode;
   s.prev_epoch_writer = dsm::kNoNode;
@@ -78,6 +86,8 @@ TEST(ObjPolicyStateSerde, StateBuiltByFeedbackRecordingRoundTrips) {
   s.RecordRemoteWrite(2);
   s.RecordRemoteWrite(2);
   s.RecordRedirectHops(3);
+  s.RecordPiggyback(2, /*home=*/0);
+  s.RecordPiggyback(3, /*home=*/0);
   s.RecordDiffSize(128);
   s.RecordDiffSize(64);
   s.RecordHomeWrite();
@@ -92,7 +102,7 @@ TEST(ObjPolicyStateSerde, EncodedSizeIsStable) {
   // change here must be deliberate (and versioned at the call sites).
   Writer w;
   ObjPolicyState{}.Encode(w);
-  EXPECT_EQ(w.size(), 70u);
+  EXPECT_EQ(w.size(), 86u);
 }
 
 TEST(ObjPolicyStateSerde, FuzzRoundTrip) {
@@ -104,6 +114,9 @@ TEST(ObjPolicyStateSerde, FuzzRoundTrip) {
     s.consecutive_writer = static_cast<dsm::NodeId>(rng.next());
     s.redirected_requests = rng.next();
     s.exclusive_home_writes = rng.next();
+    s.piggyback_writer = static_cast<dsm::NodeId>(rng.next());
+    s.piggyback_switches = rng.next();
+    s.sync_home = static_cast<dsm::NodeId>(rng.next());
     s.epoch = static_cast<std::uint32_t>(rng.next());
     s.home_written_since_remote = rng.chance(0.5);
     s.avg_diff_bytes = rng.uniform(0.0, 1e9);

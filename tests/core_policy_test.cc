@@ -300,6 +300,78 @@ TEST(Adaptive, LastingPatternScenario) {
   EXPECT_EQ(migrations, 5);
 }
 
+// ---------------------------------------------------------------------------
+// Sync locality (S): piggybacked diffs at the lock/barrier manager
+// ---------------------------------------------------------------------------
+
+/// A remote write from `writer` whose diff rode a sync message to the home
+/// at manager node 0.
+void PiggybackedWrite(ObjPolicyState& s, NodeId writer) {
+  s.RecordRemoteWrite(writer);
+  s.RecordPiggyback(writer, /*home=*/0);
+}
+
+TEST(SyncLocality, MixedPiggybackingWritersKeepTheHome) {
+  AdaptiveThresholdPolicy at(Params());
+  ObjPolicyState piggy;
+  ObjPolicyState standalone;
+  for (NodeId writer : {1, 2, 1, 1}) {
+    PiggybackedWrite(piggy, writer);
+    standalone.RecordRemoteWrite(writer);
+  }
+  // Writer 1 holds C=2 either way; the piggybacking writer changed twice.
+  EXPECT_EQ(piggy.consecutive_remote_writes, 2u);
+  EXPECT_EQ(piggy.piggyback_switches, 2u);
+  EXPECT_DOUBLE_EQ(at.LiveThreshold(piggy, 64), 1.0 + 2.0);
+  EXPECT_FALSE(at.ShouldMigrate(piggy, 1, 64, true));
+  // The same writes sent standalone carry no sync locality to lose.
+  EXPECT_TRUE(at.ShouldMigrate(standalone, 1, 64, true));
+}
+
+TEST(SyncLocality, SinglePiggybackingWriterMigratesAtTheSameC) {
+  AdaptiveThresholdPolicy at(Params());
+  ObjPolicyState piggy;
+  ObjPolicyState standalone;
+  piggy.RecordRedirectHops(2);  // T = 3 for both
+  standalone.RecordRedirectHops(2);
+  int piggy_c = 0;
+  int standalone_c = 0;
+  for (int c = 1; c <= 5; ++c) {
+    PiggybackedWrite(piggy, 4);
+    standalone.RecordRemoteWrite(4);
+    if (piggy_c == 0 && at.ShouldMigrate(piggy, 4, 64, true)) piggy_c = c;
+    if (standalone_c == 0 && at.ShouldMigrate(standalone, 4, 64, true))
+      standalone_c = c;
+  }
+  EXPECT_EQ(piggy.piggyback_switches, 0u);
+  EXPECT_EQ(piggy.sync_home, kNoNode);
+  EXPECT_EQ(piggy_c, 3);
+  EXPECT_EQ(standalone_c, 3);
+}
+
+TEST(SyncLocality, OnMigratedResetsTheCountAndKeepsTheSyncHome) {
+  AdaptiveThresholdPolicy at(Params());
+  ObjPolicyState s;
+  for (NodeId writer : {1, 2, 3}) PiggybackedWrite(s, writer);
+  EXPECT_EQ(s.piggyback_switches, 2u);
+  const double live = at.LiveThreshold(s, 64);
+  at.OnMigrated(s, 64);
+  EXPECT_DOUBLE_EQ(s.frozen_threshold, live);
+  EXPECT_EQ(s.piggyback_switches, 0u);
+  EXPECT_EQ(s.piggyback_writer, kNoNode);
+  EXPECT_EQ(s.sync_home, NodeId{0});
+}
+
+TEST(SyncLocality, SyncHomeTakesTheHomeBackWhenItWrites) {
+  AdaptiveThresholdPolicy at(Params());
+  ObjPolicyState s;
+  for (NodeId writer : {1, 2}) PiggybackedWrite(s, writer);
+  at.OnMigrated(s, 64);  // the home left manager node 0
+  EXPECT_TRUE(at.ShouldMigrate(s, 0, 64, /*for_write=*/true));
+  EXPECT_FALSE(at.ShouldMigrate(s, 0, 64, /*for_write=*/false));
+  EXPECT_FALSE(at.ShouldMigrate(s, 1, 64, /*for_write=*/true));
+}
+
 TEST(Factory, BuildsEveryPolicy) {
   AdaptiveParams p;
   EXPECT_EQ(MakePolicy("NoHM", p)->name(), "NoHM");

@@ -36,6 +36,17 @@ DsmConfig Cfg(const std::string& policy) {
   return cfg;
 }
 
+/// Times of the traced events of one kind at `node` about `peer` and `id`.
+std::vector<std::int64_t> EventTimes(const World& w, trace::What what,
+                                     NodeId node, NodeId peer,
+                                     std::uint64_t id) {
+  std::vector<std::int64_t> at;
+  for (const trace::Event& e : w.cluster.trace().events())
+    if (e.what == what && e.node == node && e.peer == peer && e.id == id)
+      at.push_back(e.at);
+  return at;
+}
+
 void Burst(sim::Process& p, Agent& a, ObjectId obj, LockId lock, int count) {
   for (int i = 1; i <= count; ++i) {
     a.Acquire(p, lock);
@@ -226,6 +237,88 @@ TEST(AgentEdge, PiggybackedDiffForwardedAfterConcurrentMigration) {
   ASSERT_TRUE(w.cluster.agent(1).IsHome(obj));
   EXPECT_EQ(w.cluster.agent(1).PeekHomeData(obj)[1], 0x22);  // not lost
   EXPECT_EQ(w.cluster.agent(1).PeekHomeData(obj)[0], 3);     // burst's last
+}
+
+TEST(AgentEdge, ForwardedPiggybackLandsBeforeTheLockHandoff) {
+  // As above, with node 3 queued on lock0 behind node 2. The manager
+  // forwards node 2's piggybacked diff to the moved home; it must not grant
+  // lock0 to node 3 until that diff is applied there, or node 3 could fault
+  // in a copy that misses node 2's write.
+  World w(4, Cfg("FT1"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock0 = LockId::Make(0, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock0);
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(5 * kStep);
+    a.Release(p, lock0);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    Burst(p, a, obj, lock2, 3);
+  });
+  w.On(3, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);
+    a.Acquire(p, lock0);  // queued behind node 2
+    Byte got = 0;
+    a.Read(p, obj, [&](ByteSpan b) { got = b[1]; });
+    EXPECT_EQ(got, 0x22);
+    a.Release(p, lock0);
+  });
+  w.Run();
+  ASSERT_TRUE(w.cluster.agent(1).IsHome(obj));
+
+  const auto applied =
+      EventTimes(w, trace::What::kDiffApplied, 1, 2, obj.value);
+  const auto granted =
+      EventTimes(w, trace::What::kLockGranted, 0, 3, lock0.value);
+  ASSERT_EQ(applied.size(), 1u);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_LE(applied[0], granted[0]);
+}
+
+TEST(AgentEdge, ForwardedPiggybackLandsBeforeTheBarrierRelease) {
+  // The barrier flavour: node 2's diff rides its (last) barrier arrival to
+  // the manager after the home moved to node 1. The barrier must not
+  // release until the forwarded diff is applied at node 1.
+  World w(4, Cfg("FT1"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    Burst(p, a, obj, lock2, 3);  // FT1 migrates the home to node 1
+    a.Barrier(p, barrier, 3);
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(5 * kStep);
+    a.Barrier(p, barrier, 3);  // diff piggybacked to node 0 → forwarded
+  });
+  w.On(3, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);
+    a.Barrier(p, barrier, 3);
+    Byte got = 0;
+    a.Read(p, obj, [&](ByteSpan b) { got = b[1]; });
+    EXPECT_EQ(got, 0x22);
+  });
+  w.Run();
+  ASSERT_TRUE(w.cluster.agent(1).IsHome(obj));
+
+  const auto applied =
+      EventTimes(w, trace::What::kDiffApplied, 1, 2, obj.value);
+  const auto done =
+      EventTimes(w, trace::What::kBarrierDone, 0, kNoNode, barrier.value);
+  ASSERT_EQ(applied.size(), 1u);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_LE(applied[0], done[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -64,12 +64,13 @@ TEST(Wire, Redirect) {
 }
 
 TEST(Wire, DiffPreservesWriterAndAck) {
-  DiffMsg m{ObjectId::Make(0, 2, 9), Bytes{1, 2, 3}, 0xABCDEF, true, 6};
+  DiffMsg m{ObjectId::Make(0, 2, 9), Bytes{1, 2, 3}, 0xABCDEF, true, 6, 0};
   auto d = RoundTrip(m);
   EXPECT_EQ(d.diff, m.diff);
   EXPECT_EQ(d.ack_tag, 0xABCDEFull);
   EXPECT_TRUE(d.ack_required);
   EXPECT_EQ(d.writer, 6u);
+  EXPECT_EQ(d.ack_to, 0u);  // a forwarding sync manager, not the writer
 }
 
 TEST(Wire, LockMessages) {

@@ -28,6 +28,7 @@ Decision MakeDecision(std::uint64_t obj, std::int64_t at_ns, bool migrate) {
   d.consecutive_writer = 3;
   d.redirects = 7;
   d.exclusive_home_writes = 5;
+  d.piggyback_switches = 6;
   d.threshold = 3.5;
   d.object_bytes = 256;
   d.for_write = true;
@@ -300,6 +301,42 @@ TEST(AuditEndToEnd, PhasedWriterProducesDecisionsAndAdaptationLatency) {
     EXPECT_LT(d.destination, params.nodes);
     if (d.migrate) EXPECT_NE(d.destination, d.home);
   }
+}
+
+// Two writers' diffs ride one lock's releases to the home at the lock
+// manager. The ledger then shows the sync-locality count behind a "stay"
+// that the paper's R and E alone would have turned into a migration.
+TEST(AuditEndToEnd, StayAtTheLockManagerCarriesTheSyncLocalityCount) {
+  auto locked_write = [](std::vector<workload::Op>& prog) {
+    prog.push_back({workload::OpKind::kAcquire, 0, 0});
+    prog.push_back({workload::OpKind::kWrite, 0, 0});
+    prog.push_back({workload::OpKind::kRelease, 0, 0});
+  };
+  workload::Scenario s;
+  s.nodes = 3;
+  s.objects = {{64, 0}};
+  s.lock_managers = {0};
+  s.barrier_managers = {0};
+  s.workers = {{1, "w1", {}}, {2, "w2", {}}};
+  // Node 2 piggybacks once; then node 1 piggybacks a run of writes.
+  locked_write(s.workers[1].program);
+  s.workers[0].program.push_back(
+      {workload::OpKind::kDelay, 0, 10'000'000});
+  for (int i = 0; i < 4; ++i) locked_write(s.workers[0].program);
+  gos::VmOptions vm;
+  vm.nodes = s.nodes;
+  vm.dsm.policy = "AT";
+  const gos::RunReport r = workload::RunScenario(vm, s).report;
+  std::size_t explained = 0;
+  for (const Decision& d : r.ledger.decisions()) {
+    if (d.migrate || d.requester != d.consecutive_writer) continue;
+    const double without_s =
+        d.threshold - static_cast<double>(d.piggyback_switches);
+    if (d.consecutive_writes >= without_s &&
+        d.consecutive_writes < d.threshold)
+      ++explained;
+  }
+  EXPECT_EQ(explained, 1u);
 }
 
 // The opt-out silences what audit owns: the decision ledger and the

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "meshbench/workloads.h"
 #include "src/workload/runner.h"
 
 namespace hmdsm::workload {
@@ -143,6 +144,45 @@ TEST(Patterns, ResultChecksumCoversObjectContents) {
       RunUnder(GeneratePattern(SmallParams("migratory")), "AT");
   const ScenarioResult b = RunUnder(GeneratePattern(SmallParams("hotspot")), "AT");
   EXPECT_NE(a.checksum, b.checksum);
+}
+
+// ---------------------------------------------------------------------------
+// Sync locality: AT against NoHM on the repo benchmark's workloads
+// ---------------------------------------------------------------------------
+
+TEST(SyncLocality, HotHomeKeepsAtNearNoHmMessages) {
+  // Several writers' diffs ride the global lock's releases to the home at
+  // the lock manager. Moving the home off it turns each of them into a
+  // standalone diff+ack pair, which AT must count against migration.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const Scenario scenario =
+        meshbench::FindWorkload("hot_home")->generate(seed);
+    const ScenarioResult at = RunUnder(scenario, "AT");
+    const ScenarioResult nohm = RunUnder(scenario, "NoHM");
+    EXPECT_EQ(at.checksum, nohm.checksum) << "seed " << seed;
+    EXPECT_LE(static_cast<double>(at.report.messages),
+              1.10 * static_cast<double>(nohm.report.messages))
+        << "seed " << seed << ": AT " << at.report.messages << " vs NoHM "
+        << nohm.report.messages;
+  }
+}
+
+TEST(SyncLocality, WriterChurnStillFollowsTheSoleWriter) {
+  // One piggybacking writer at a time: AT must keep migrating toward it.
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const Scenario scenario =
+        meshbench::FindWorkload("writer_churn")->generate(seed);
+    const ScenarioResult at = RunUnder(scenario, "AT");
+    const ScenarioResult nohm = RunUnder(scenario, "NoHM");
+    EXPECT_EQ(at.checksum, nohm.checksum) << "seed " << seed;
+    EXPECT_GT(at.report.migrations, 0u) << "seed " << seed;
+    for (const stats::Decision& d : at.report.ledger.decisions())
+      ASSERT_EQ(d.piggyback_switches, 0u) << "seed " << seed;
+    EXPECT_LE(static_cast<double>(at.report.messages),
+              0.90 * static_cast<double>(nohm.report.messages))
+        << "seed " << seed << ": AT " << at.report.messages << " vs NoHM "
+        << nohm.report.messages;
+  }
 }
 
 }  // namespace
