@@ -74,6 +74,8 @@ void Agent::HandlePacket(net::Packet&& packet) {
           OnHomeBroadcast(std::move(m));
         } else if constexpr (std::is_same_v<T, proto::ChainUpdateMsg>) {
           OnChainUpdate(std::move(m));
+        } else if constexpr (std::is_same_v<T, proto::SyncFenceMsg>) {
+          OnSyncFence(src, std::move(m));
         }
       },
       std::move(msg));
@@ -513,10 +515,8 @@ void Agent::OnDiff(NodeId /*src*/, proto::DiffMsg msg) {
   HMDSM_CHECK_MSG(false, "diff for object unknown at node " << node_);
 }
 
-template <typename Fn>
 void Agent::ApplyPiggybacked(NodeId src,
-                             std::vector<std::pair<ObjectId, Bytes>>& diffs,
-                             Fn&& then) {
+                             std::vector<std::pair<ObjectId, Bytes>>& diffs) {
   std::uint64_t tag = 0;
   for (auto& [obj, diff] : diffs) {
     recorder_.Bump(Ev::kPiggybackedDiffs);
@@ -534,11 +534,14 @@ void Agent::ApplyPiggybacked(NodeId src,
       HMDSM_CHECK_MSG(false, "piggybacked diff for unknown object");
     }
   }
-  if (tag == 0) {
-    then();
-  } else {
-    pending_acks_[tag].then = std::forward<Fn>(then);
-  }
+  if (tag == 0) return;
+  ++forwards_in_flight_;
+  pending_acks_[tag].then = [this] {
+    if (--forwards_in_flight_ > 0) return;
+    std::vector<std::function<void()>> held = std::move(after_forwards_);
+    after_forwards_.clear();
+    for (auto& send : held) send();
+  };
 }
 
 void Agent::ForwardDiff(NodeId writer, proto::DiffMsg&& msg) {
@@ -584,19 +587,23 @@ void Agent::OnDiffAck(proto::DiffAck msg) {
 void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   recorder_.Bump(Ev::kLockAcquires);
   const NodeId manager = lock.manager();
+  FenceBefore(proc, manager);
   // Acquiring is a synchronization point: dirty objects written outside
   // this lock's scope are flushed now (their diffs ride the acquire message
   // when homed at the manager). This is what makes an empty synchronized
   // block a flush point — the paper's synthetic benchmark depends on it.
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
+  const std::uint64_t mark = FenceMark(manager);
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(proto::LockAcquireMsg{lock, std::move(piggy)}));
   lock_waiters_[lock].Wait(proc);
+  FencedBy(manager, mark);
   // Acquire semantics (Java memory model / LRC): start a fresh interval and
-  // drop cached copies so writes flushed to homes become visible.
+  // drop cached copies so writes flushed to homes become visible. The
+  // copies the grant carried are already that fresh.
   BumpInterval();
-  InvalidateCache();
+  InvalidateCache(&lock);
 }
 
 void Agent::MarkPhase() {
@@ -607,23 +614,53 @@ void Agent::MarkPhase() {
 
 void Agent::Release(runtime::Exec& proc, LockId lock) {
   const NodeId manager = lock.manager();
+  FenceBefore(proc, manager);
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
   BumpInterval();
+  // Nothing acknowledges these diffs; the next sync through another
+  // manager fences this one first.
+  if (!piggy.empty()) {
+    unfenced_ = manager;
+    ++unfenced_seq_;
+  }
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(proto::LockReleaseMsg{lock, std::move(piggy)}));
 }
 
 void Agent::OnLockAcquire(NodeId src, proto::LockAcquireMsg msg) {
-  ApplyPiggybacked(src, msg.piggybacked_diffs, [this, src, lock = msg.lock] {
-    LockState& ls = managed_locks_[lock];
-    if (ls.holder == kNoNode) {
-      ls.holder = src;
-      Emit(trace::What::kLockGranted, lock.value, src);
-      SendMsg(src, MsgCat::kSync, proto::Encode(proto::LockGrantMsg{lock}));
-    } else {
-      ls.queue.push_back(src);
+  ApplyPiggybacked(src, msg.piggybacked_diffs);
+  LockState& ls = managed_locks_[msg.lock];
+  for (const auto& piggy : msg.piggybacked_diffs)
+    ls.guarded.insert(piggy.first);
+  if (ls.holder == kNoNode) {
+    ls.holder = src;
+    SendGrant(msg.lock, src, /*handoff=*/false);
+  } else {
+    ls.queue.push_back(src);
+  }
+}
+
+void Agent::SendGrant(LockId lock, NodeId to, bool handoff) {
+  proto::LockGrantMsg grant{lock, {}};
+  // Only a handoff ships data: there the next holder's fault-in would sit
+  // on the lock's serialized path. The manager itself homes every copy.
+  if (handoff && to != node_ && !config_.write_through) {
+    std::size_t bytes = 0;
+    for (ObjectId obj : managed_locks_[lock].guarded) {
+      auto home = homes_.find(obj);
+      if (home == homes_.end()) continue;
+      const std::size_t size = home->second.data.size();
+      if (bytes + size > proto::kMaxGrantCopyBytes) continue;
+      bytes += size;
+      grant.copies.emplace_back(obj, home->second.data);
     }
+  }
+  WhenForwardsLand([this, lock, to,
+                    copies = static_cast<std::int64_t>(grant.copies.size()),
+                    wire = proto::Encode(grant)]() mutable {
+    Emit(trace::What::kLockGranted, lock.value, to, copies);
+    SendMsg(to, MsgCat::kSync, std::move(wire));
   });
 }
 
@@ -631,26 +668,57 @@ void Agent::OnLockGrant(proto::LockGrantMsg msg) {
   auto it = lock_waiters_.find(msg.lock);
   HMDSM_CHECK_MSG(it != lock_waiters_.end() && !it->second.empty(),
                   "lock grant with no local waiter");
+  // Install the carried copies as the new holder's cache. A copy never
+  // replaces a home, a fetch in flight (it may be a migration) or a dirty
+  // copy.
+  const NodeId manager = msg.lock.manager();
+  for (auto& [obj, data] : msg.copies) {
+    if (homes_.contains(obj) || pending_fetch_.contains(obj)) continue;
+    CacheEntry& ce = cache_[obj];
+    if (ce.dirty) continue;
+    ce.data = std::move(data);
+    ce.granted = msg.lock;
+    hints_[obj] = manager;
+    recorder_.Bump(Ev::kGrantCopies);
+  }
   it->second.NotifyOne();
 }
 
 void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
-  // Apply piggybacked diffs before the handoff so the next holder faults in
+  // Apply piggybacked diffs before the handoff so the next holder gets
   // up-to-date data (the manager is the home of these objects).
-  ApplyPiggybacked(src, msg.piggybacked_diffs, [this, src, lock = msg.lock] {
-    LockState& ls = managed_locks_[lock];
-    HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
-    if (ls.queue.empty()) {
-      ls.holder = kNoNode;
-    } else {
-      ls.holder = ls.queue.front();
-      ls.queue.pop_front();
-      recorder_.Bump(Ev::kLockHandoffs);
-      Emit(trace::What::kLockGranted, lock.value, ls.holder);
-      SendMsg(ls.holder, MsgCat::kSync,
-              proto::Encode(proto::LockGrantMsg{lock}));
-    }
+  ApplyPiggybacked(src, msg.piggybacked_diffs);
+  LockState& ls = managed_locks_[msg.lock];
+  for (const auto& piggy : msg.piggybacked_diffs)
+    ls.guarded.insert(piggy.first);
+  HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
+  if (ls.queue.empty()) {
+    ls.holder = kNoNode;
+  } else {
+    ls.holder = ls.queue.front();
+    ls.queue.pop_front();
+    recorder_.Bump(Ev::kLockHandoffs);
+    SendGrant(msg.lock, ls.holder, /*handoff=*/true);
+  }
+}
+
+void Agent::OnSyncFence(NodeId src, proto::SyncFenceMsg msg) {
+  // The link is FIFO, so the sender's earlier releases are applied here or
+  // forwarded; answer once the forwarded ones are acknowledged too.
+  WhenForwardsLand([this, src, tag = msg.ack_tag] {
+    SendMsg(src, MsgCat::kSync, proto::Encode(proto::DiffAck{tag}));
   });
+}
+
+void Agent::Fence(runtime::Exec& proc) {
+  const NodeId manager = unfenced_;
+  unfenced_ = kNoNode;
+  const std::uint64_t tag = next_ack_tag_++;
+  pending_acks_[tag].remaining = 1;
+  SendMsg(manager, MsgCat::kSync, proto::Encode(proto::SyncFenceMsg{tag}));
+  auto& aw = pending_acks_[tag];
+  if (aw.remaining > 0) aw.waiter.Wait(proc);
+  pending_acks_.erase(tag);
 }
 
 // ---------------------------------------------------------------------------
@@ -661,37 +729,39 @@ void Agent::Barrier(runtime::Exec& proc, BarrierId barrier,
                     std::uint32_t expected) {
   recorder_.Bump(Ev::kBarrierWaits);
   const NodeId manager = barrier.manager();
+  FenceBefore(proc, manager);
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
   BumpInterval();
+  const std::uint64_t mark = FenceMark(manager);
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(
               proto::BarrierArriveMsg{barrier, expected, std::move(piggy)}));
   barrier_waiters_[barrier].Wait(proc);
+  FencedBy(manager, mark);
   // Departure has acquire semantics.
   BumpInterval();
   InvalidateCache();
 }
 
 void Agent::OnBarrierArrive(NodeId src, proto::BarrierArriveMsg msg) {
-  ApplyPiggybacked(src, msg.piggybacked_diffs,
-                   [this, src, barrier = msg.barrier,
-                    expected = msg.expected] {
-    BarrierState& bs = managed_barriers_[barrier];
-    if (bs.expected == 0) bs.expected = expected;
-    HMDSM_CHECK_MSG(bs.expected == expected,
-                    "barrier participant-count mismatch");
-    bs.arrivals.push_back(src);
-    if (bs.arrivals.size() == bs.expected) {
-      Emit(trace::What::kBarrierDone, barrier.value, kNoNode,
-           static_cast<std::int64_t>(bs.expected));
-      for (NodeId dst : bs.arrivals) {
-        SendMsg(dst, MsgCat::kSync,
-                proto::Encode(proto::BarrierReleaseMsg{barrier}));
-      }
-      managed_barriers_.erase(barrier);
+  ApplyPiggybacked(src, msg.piggybacked_diffs);
+  BarrierState& bs = managed_barriers_[msg.barrier];
+  if (bs.expected == 0) bs.expected = msg.expected;
+  HMDSM_CHECK_MSG(bs.expected == msg.expected,
+                  "barrier participant-count mismatch");
+  bs.arrivals.push_back(src);
+  if (bs.arrivals.size() < bs.expected) return;
+  WhenForwardsLand([this, barrier = msg.barrier,
+                    arrivals = std::move(bs.arrivals)] {
+    Emit(trace::What::kBarrierDone, barrier.value, kNoNode,
+         static_cast<std::int64_t>(arrivals.size()));
+    for (NodeId dst : arrivals) {
+      SendMsg(dst, MsgCat::kSync,
+              proto::Encode(proto::BarrierReleaseMsg{barrier}));
     }
   });
+  managed_barriers_.erase(msg.barrier);
 }
 
 void Agent::OnBarrierRelease(proto::BarrierReleaseMsg msg) {
@@ -750,11 +820,24 @@ std::vector<std::pair<ObjectId, Bytes>> Agent::FlushDirty(
   return piggy;
 }
 
-void Agent::InvalidateCache() {
+void Agent::InvalidateCache(const LockId* acquired) {
+  bool keep = false;
   for (auto& [obj, ce] : cache_) {
     HMDSM_CHECK_MSG(!ce.dirty, "invalidating a dirty copy — missing flush");
+    keep |= acquired != nullptr && ce.granted == *acquired;
   }
-  cache_.clear();
+  if (!keep) {
+    cache_.clear();
+    return;
+  }
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    if (it->second.granted == *acquired) {
+      it->second.granted.reset();
+      ++it;
+    } else {
+      it = cache_.erase(it);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

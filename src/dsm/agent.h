@@ -19,7 +19,13 @@
 //  * release semantics  — every dirty cached object is diffed against its
 //    twin and the diff is propagated to its home; the release completes
 //    only after standalone diffs are acknowledged (so a subsequent lock
-//    holder can never fault in a stale copy);
+//    holder can never fault in a stale copy). Diffs homed at the sync
+//    manager ride the sync message instead; before synchronizing through
+//    a different manager, the node fences the previous one, so no third
+//    node can learn of the release ahead of its diffs;
+//  * lock handoffs carry data — a contended grant ships the current copy
+//    of the manager-homed objects the lock guards, and the new holder's
+//    acquire keeps those copies instead of faulting them in again;
 //  * home copies are always valid; the first home read and first home
 //    write per synchronization interval are trapped and recorded — these
 //    feed the migration policy exactly as in the paper (Section 3.3).
@@ -30,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/policy.h"
@@ -116,6 +123,9 @@ class Agent {
     Bytes data;
     Bytes twin;   // empty unless dirty
     bool dirty = false;
+    // Installed by a grant of this lock; the grant's own Acquire keeps the
+    // copy through its invalidation (once), every other one drops it.
+    std::optional<LockId> granted;
   };
 
   struct PendingFetch {
@@ -137,6 +147,9 @@ class Agent {
   struct LockState {
     NodeId holder = kNoNode;
     std::deque<NodeId> queue;
+    // Objects whose diffs rode this lock's acquire or release messages;
+    // a handoff grant carries the ones still homed here.
+    std::unordered_set<ObjectId> guarded;
   };
 
   struct BarrierState {
@@ -174,6 +187,7 @@ class Agent {
   void OnManagerReply(proto::ManagerReplyMsg msg);
   void OnHomeBroadcast(proto::HomeBroadcastMsg msg);
   void OnChainUpdate(proto::ChainUpdateMsg msg);
+  void OnSyncFence(NodeId src, proto::SyncFenceMsg msg);
 
   /// Posts the discovered home back to the stalest chain member after a
   /// multi-hop walk (when chain compression is enabled). `home_epoch` is
@@ -196,15 +210,48 @@ class Agent {
   /// pointer.
   void ForwardDiff(NodeId writer, proto::DiffMsg&& msg);
 
-  /// Applies diffs that rode a sync message (acquire/release/barrier),
-  /// then runs `then`, which completes the sync operation. A diff whose
-  /// home has moved is forwarded with an ack back to us, and `then` waits
-  /// for those acks: a lock handoff or barrier release must not overtake
-  /// the writes it publishes.
-  template <typename Fn>
+  /// Applies diffs that rode a sync message (acquire/release/barrier). A
+  /// diff whose home has moved is forwarded with an ack back to us; until
+  /// the acks arrive, WhenForwardsLand holds this manager's replies.
   void ApplyPiggybacked(NodeId src,
-                        std::vector<std::pair<ObjectId, Bytes>>& diffs,
-                        Fn&& then);
+                        std::vector<std::pair<ObjectId, Bytes>>& diffs);
+
+  /// Runs `send` (a manager's grant, barrier release or fence ack) now, or
+  /// once every piggybacked diff this node forwarded is acknowledged: a
+  /// sync reply must not overtake the writes it publishes.
+  template <typename Fn>
+  void WhenForwardsLand(Fn&& send) {
+    if (forwards_in_flight_ == 0) {
+      send();
+    } else {
+      after_forwards_.emplace_back(std::forward<Fn>(send));
+    }
+  }
+
+  /// Manager side: grants `lock` to `to`. A handoff (`to` was queued)
+  /// carries the guarded objects still homed here, up to
+  /// proto::kMaxGrantCopyBytes.
+  void SendGrant(LockId lock, NodeId to, bool handoff);
+
+  /// Before synchronizing through `manager`: if an earlier release's diffs
+  /// rode to a different manager, waits until that manager acknowledges
+  /// them (a SyncFenceMsg round trip).
+  void FenceBefore(runtime::Exec& proc, NodeId manager) {
+    if (unfenced_ != kNoNode && unfenced_ != manager) Fence(proc);
+  }
+  void Fence(runtime::Exec& proc);
+
+  /// A grant or barrier release from `manager` answers a request that
+  /// followed this node's releases on the FIFO link, and the manager holds
+  /// it until the diffs it forwarded land, so it fences those releases.
+  /// FenceMark is taken as the request leaves; FencedBy runs on the answer
+  /// and clears the fence unless a newer release went out meanwhile.
+  std::uint64_t FenceMark(NodeId manager) const {
+    return unfenced_ == manager ? unfenced_seq_ : 0;
+  }
+  void FencedBy(NodeId manager, std::uint64_t mark) {
+    if (unfenced_ == manager && mark == unfenced_seq_) unfenced_ = kNoNode;
+  }
 
   /// Ensures a valid local copy (home or cache); may block `proc`.
   void EnsureValidCopy(runtime::Exec& proc, ObjectId obj, bool for_write);
@@ -219,8 +266,9 @@ class Agent {
   std::vector<std::pair<ObjectId, Bytes>> FlushDirty(runtime::Exec& proc,
                                                      NodeId sync_manager);
 
-  /// Acquire semantics: drop all non-home cached copies.
-  void InvalidateCache();
+  /// Acquire semantics: drop all non-home cached copies, except the copies
+  /// a grant of `acquired` (if any) just delivered.
+  void InvalidateCache(const LockId* acquired = nullptr);
 
   /// Advances the synchronization-interval sequence (re-arms home traps).
   void BumpInterval() { ++interval_seq_; }
@@ -278,6 +326,14 @@ class Agent {
   std::unordered_map<BarrierId, runtime::WaitQueue> barrier_waiters_;
 
   std::unordered_map<std::uint64_t, AckWait> pending_acks_;
+  // Sync-manager side: ack tags of forwarded piggybacked diffs still
+  // outstanding, and the replies held until they land (WhenForwardsLand).
+  std::uint32_t forwards_in_flight_ = 0;
+  std::vector<std::function<void()>> after_forwards_;
+  // The remote manager this node's last release piggybacked diffs to, until
+  // a fence to it completes (kNoNode: nothing unacknowledged).
+  NodeId unfenced_ = kNoNode;
+  std::uint64_t unfenced_seq_ = 0;  // bumped by every such release
   std::uint64_t next_ack_tag_ = 1;
   std::uint64_t interval_seq_ = 1;
   std::uint64_t barrier_epoch_ = 1;  // advances on each barrier release

@@ -58,6 +58,7 @@ RunReport MakeRunReport(const stats::Recorder& rec, double seconds) {
   report.diffs_created = rec.Count(stats::Ev::kDiffsCreated);
   report.exclusive_home_writes = rec.Count(stats::Ev::kExclusiveHomeWrites);
   report.fault_ins = rec.Count(stats::Ev::kFaultIns);
+  report.grant_copies = rec.Count(stats::Ev::kGrantCopies);
   const stats::MsgTotals sent = rec.TotalSent();
   const stats::MsgTotals received = rec.TotalReceived();
   report.sent_messages = sent.messages;

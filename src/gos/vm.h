@@ -276,6 +276,9 @@ struct RunReport {
   std::uint64_t diffs_created = 0;
   std::uint64_t exclusive_home_writes = 0;
   std::uint64_t fault_ins = 0;
+  /// Objects lock grants delivered into the new holder's cache (each one a
+  /// fault-in that did not happen).
+  std::uint64_t grant_copies = 0;
   /// Per-node attribution sums: sends counted by senders, receives by
   /// receivers. Equal at quiescence iff no message was lost — the
   /// cross-process conformance suite asserts it on every backend.

@@ -35,11 +35,20 @@ void Network::Send(NodeId src, NodeId dst, stats::MsgCat cat, Buf payload) {
   } else {
     arrival = kernel_.now() + model_.Latency(wire_bytes);
   }
+  if (!link_delay_.empty())
+    arrival += link_delay_[src * handlers_.size() + dst];
   kernel_.ScheduleAt(
       arrival,
       [this, p = std::make_shared<Packet>(std::move(packet))]() mutable {
         Deliver(std::move(*p));
       });
+}
+
+void Network::SetLinkDelay(NodeId src, NodeId dst, sim::Time extra) {
+  const std::size_t n = handlers_.size();
+  HMDSM_CHECK(src < n && dst < n && extra >= 0);
+  if (link_delay_.empty()) link_delay_.assign(n * n, 0);
+  link_delay_[src * n + dst] = extra;
 }
 
 void Network::Deliver(Packet&& packet) {

@@ -64,6 +64,11 @@ class Network final : public Transport {
   /// Total messages delivered so far (self-sends excluded).
   std::uint64_t packets_sent() const { return packets_sent_; }
 
+  /// Schedule seam: messages sent from `src` to `dst` from now on arrive
+  /// `extra` later than the model says. A link keeps FIFO order as long as
+  /// its delay is never lowered while messages are in flight on it.
+  void SetLinkDelay(NodeId src, NodeId dst, sim::Time extra);
+
  private:
   void Deliver(Packet&& packet);
 
@@ -72,6 +77,7 @@ class Network final : public Transport {
   std::vector<Handler> handlers_;
   std::deque<stats::Recorder> recorders_;  // per node; deque: stable refs
   std::vector<sim::Time> tx_free_;  // per-node NIC transmit availability
+  std::vector<sim::Time> link_delay_;  // [src * nodes + dst]; empty = none
   bool model_tx_occupancy_;
   std::uint64_t packets_sent_ = 0;
 };

@@ -44,8 +44,10 @@ namespace hmdsm::netio {
 /// type byte is now unknown) and the recorder drops its three counters.
 /// v9: DiffMsg names its ack's destination (a sync manager acks the
 /// piggybacked diffs it forwards), and the migrating policy state and the
-/// ledger's decisions carry the sync-locality count.
-constexpr std::uint32_t kProtocolVersion = 9;
+/// ledger's decisions carry the sync-locality count. v10: a lock grant
+/// carries object copies, the SyncFence message exists, and the recorder
+/// serialization grew the grant-copies counter.
+constexpr std::uint32_t kProtocolVersion = 10;
 
 /// Hello/HelloAck feature flags. A feature is active on a link only when
 /// *both* ends advertise it, so mixed command lines degrade to the common

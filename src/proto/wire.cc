@@ -97,6 +97,7 @@ Bytes Encode(const LockAcquireMsg& m) {
 Bytes Encode(const LockGrantMsg& m) {
   Writer w = Begin(Kind::kLockGrant);
   w.u64(m.lock.value);
+  PutDiffList(w, m.copies);
   return w.take();
 }
 
@@ -170,6 +171,12 @@ Bytes Encode(const ChainUpdateMsg& m) {
   return w.take();
 }
 
+Bytes Encode(const SyncFenceMsg& m) {
+  Writer w = Begin(Kind::kSyncFence);
+  w.u64(m.ack_tag);
+  return w.take();
+}
+
 Kind PeekKind(ByteSpan wire) {
   HMDSM_CHECK(!wire.empty());
   return static_cast<Kind>(wire[0]);
@@ -232,6 +239,12 @@ AnyMsg DecodeImpl(Reader& r) {
     case Kind::kLockGrant: {
       LockGrantMsg m;
       m.lock = LockId{r.u64()};
+      m.copies = GetDiffList(r);
+      std::size_t total = 0;
+      for (const auto& copy : m.copies) total += copy.second.size();
+      HMDSM_CHECK_MSG(total <= kMaxGrantCopyBytes,
+                      "grant carries " << total << " object bytes, over the "
+                                       << kMaxGrantCopyBytes << " cap");
       return m;
     }
     case Kind::kLockRelease: {
@@ -292,6 +305,11 @@ AnyMsg DecodeImpl(Reader& r) {
       m.obj = ObjectId{r.u64()};
       m.home = r.u32();
       m.home_epoch = r.u32();
+      return m;
+    }
+    case Kind::kSyncFence: {
+      SyncFenceMsg m;
+      m.ack_tag = r.u64();
       return m;
     }
   }

@@ -41,6 +41,7 @@ enum class Kind : std::uint8_t {
   kManagerReply,
   kHomeBroadcast,
   kChainUpdate,
+  kSyncFence,
 };
 
 /// Fault-in request. `hops` counts redirections suffered so far (the home
@@ -104,8 +105,16 @@ struct LockAcquireMsg {
   std::vector<std::pair<ObjectId, Bytes>> piggybacked_diffs;
 };
 
+/// Upper bound on the object bytes one grant carries (see LockGrantMsg).
+inline constexpr std::size_t kMaxGrantCopyBytes = 64 * 1024;
+
+/// Lock grant. On a contended handoff the manager attaches the current
+/// copy of every object the lock guards that it still homes (an object is
+/// guarded once its diff rode this lock's acquire or release), up to
+/// kMaxGrantCopyBytes in total, so the next holder need not fault them in.
 struct LockGrantMsg {
   LockId lock;
+  std::vector<std::pair<ObjectId, Bytes>> copies;
 };
 
 /// Lock release, optionally carrying diffs whose home is the lock manager
@@ -167,12 +176,21 @@ struct ChainUpdateMsg {
   std::uint32_t home_epoch = 0;
 };
 
+/// Asks a sync manager to acknowledge (with a DiffAck) once every diff
+/// that rode the sender's earlier releases is applied at its home. A node
+/// sends it before synchronizing through a different manager, since a
+/// release's piggybacked diffs are never acknowledged on their own.
+struct SyncFenceMsg {
+  std::uint64_t ack_tag = 0;
+};
+
 using AnyMsg =
     std::variant<ObjRequest, ObjReply, MigrateReply, Redirect, DiffMsg,
                  DiffAck, LockAcquireMsg, LockGrantMsg, LockReleaseMsg,
                  BarrierArriveMsg, BarrierReleaseMsg, InitObjectMsg,
                  InitAckMsg, ManagerUpdateMsg, ManagerLookupMsg,
-                 ManagerReplyMsg, HomeBroadcastMsg, ChainUpdateMsg>;
+                 ManagerReplyMsg, HomeBroadcastMsg, ChainUpdateMsg,
+                 SyncFenceMsg>;
 
 Bytes Encode(const ObjRequest&);
 Bytes Encode(const ObjReply&);
@@ -192,6 +210,7 @@ Bytes Encode(const ManagerLookupMsg&);
 Bytes Encode(const ManagerReplyMsg&);
 Bytes Encode(const HomeBroadcastMsg&);
 Bytes Encode(const ChainUpdateMsg&);
+Bytes Encode(const SyncFenceMsg&);
 
 /// Decodes any protocol message (leading kind byte selects the type).
 /// Trusted-input path: throws CheckError on malformed bytes (an in-process

@@ -38,6 +38,7 @@ std::string_view EvName(Ev ev) {
     case Ev::kPiggybackedDiffs: return "piggybacked_diffs";
     case Ev::kLockAcquires: return "lock_acquires";
     case Ev::kLockHandoffs: return "lock_handoffs";
+    case Ev::kGrantCopies: return "grant_copies";
     case Ev::kBarrierWaits: return "barrier_waits";
     case Ev::kSocketWrites: return "socket_writes";
     case Ev::kWireFramesEnqueued: return "wire_frames_enqueued";

@@ -36,6 +36,7 @@ enum class Ev : std::uint8_t {
   kPiggybackedDiffs,    // diffs that rode on a lock-release message
   kLockAcquires,
   kLockHandoffs,        // grants that crossed nodes
+  kGrantCopies,         // objects a lock grant delivered into the cache
   kBarrierWaits,
   // Wire-level counters (sockets backend). The socket transport folds its
   // atomics in at snapshot time so the coordinator's recorder gather

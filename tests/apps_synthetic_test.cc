@@ -53,10 +53,13 @@ TEST(Synthetic, SingleWriterRunsHaveLengthR) {
 
 TEST(Synthetic, NoHMFaultsOnEveryUpdate) {
   const auto res = RunSynthetic(Opts("NoHM"), Cfg(8, 256));
-  // Every update re-faults the invalidated counter: fault-ins ≈ updates
-  // (plus one read per turn for the target check).
-  EXPECT_GE(res.report.fault_ins,
+  // Every update re-faults the invalidated counter, except the first one
+  // of a turn: each lock0 handoff carries the counter to the next holder
+  // (only the very first grant is uncontended and carries nothing).
+  EXPECT_GE(res.report.fault_ins + res.turns_taken - 1,
             static_cast<std::uint64_t>(res.final_count));
+  EXPECT_GE(res.report.grant_copies,
+            static_cast<std::uint64_t>(res.turns_taken - 1));
   EXPECT_EQ(res.report.migrations, 0u);
 }
 

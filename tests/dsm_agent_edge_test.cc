@@ -1,7 +1,7 @@
 // Deeper protocol-edge tests for the DSM agent: multi-migration chains
 // under each notification mechanism, home-access trap re-arming, barrier
 // generation reuse, lock fairness, piggyback forwarding after migration,
-// and defensive limits.
+// lock grants that carry data, sync fences, and defensive limits.
 #include <gtest/gtest.h>
 
 #include "src/dsm/agent.h"
@@ -320,6 +320,254 @@ TEST(AgentEdge, ForwardedPiggybackLandsBeforeTheBarrierRelease) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_LE(applied[0], done[0]);
 }
+
+// ---------------------------------------------------------------------------
+// Lock grants carry data
+// ---------------------------------------------------------------------------
+
+/// The copies-carried count the manager traced on its grants of `lock` to
+/// `holder`, in grant order.
+std::vector<std::int64_t> GrantCopies(const World& w, NodeId manager,
+                                      NodeId holder, LockId lock) {
+  std::vector<std::int64_t> copies;
+  for (const trace::Event& e : w.cluster.trace().events())
+    if (e.what == trace::What::kLockGranted && e.node == manager &&
+        e.peer == holder && e.id == lock.value)
+      copies.push_back(e.value);
+  return copies;
+}
+
+TEST(GrantCopies, ContendedHandoffCarriesTheObjectAndSkipsTheFaultIn) {
+  World w(3, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);  // homed at the manager
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kStep);  // node 2 queues meanwhile
+    a.Release(p, lock);  // the diff rides the release: obj is guarded
+  });
+  Byte got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x11);
+  EXPECT_EQ(GrantCopies(w, 0, 2, lock), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kGrantCopies), 1u);
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kFaultIns), 0u);
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kLocalHits), 2u);
+  // The write on the delivered copy still reaches the home as a diff.
+  EXPECT_EQ(w.cluster.agent(0).PeekHomeData(obj)[1], 0x22);
+}
+
+TEST(GrantCopies, UncontendedGrantCarriesNothing) {
+  World w(3, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    Burst(p, a, obj, lock, 1);  // obj becomes guarded by lock
+  });
+  Byte got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);  // the lock is free by now
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(GrantCopies(w, 0, 2, lock), (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(w.rec().Count(Ev::kGrantCopies), 0u);
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kFaultIns), 1u);
+}
+
+TEST(GrantCopies, HandoffToTheManagerItselfCarriesNothing) {
+  // The manager homes every object a grant could carry; its own handoff
+  // must leave the home copy alone.
+  World w(2, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    a.CreateObject(p, obj, Bytes(8, 0));
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);  // queued behind node 1
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x33; });
+    a.Release(p, lock);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kStep);
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(GrantCopies(w, 0, 0, lock), (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(w.rec().Count(Ev::kGrantCopies), 0u);
+  EXPECT_TRUE(w.cluster.agent(0).IsHome(obj));
+  EXPECT_EQ(w.cluster.agent(0).PeekHomeData(obj)[0], 0x11);
+  EXPECT_EQ(w.cluster.agent(0).PeekHomeData(obj)[1], 0x33);
+}
+
+TEST(GrantCopies, CopyNeverLandsOnAPendingFetch) {
+  // Node 2 runs two threads: one queues on the lock, the other faults the
+  // object in over a slowed 2->0 link, so the handoff grant (carrying the
+  // object) arrives while that fetch is still in flight. The copy must be
+  // dropped: the fetch may be a migration, and its reply owns the entry.
+  World w(3, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(5 * kStep);
+    a.Release(p, lock);
+  });
+  Byte holder_got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { holder_got = b[0]; });
+    a.Release(p, lock);
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(6 * kStep);  // as node 1 releases
+    w.cluster.network().SetLinkDelay(2, 0, 10 * sim::kMillisecond);
+    a.Read(p, obj, [](ByteSpan) {});
+  });
+  w.Run();
+  EXPECT_EQ(holder_got, 0x11);
+  EXPECT_EQ(GrantCopies(w, 0, 2, lock), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kGrantCopies), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Sync fences: a release's piggybacked diffs land before anyone can learn
+// of the release through another manager
+// ---------------------------------------------------------------------------
+
+class SyncFence : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SyncFence, BarrierAtAnotherManagerWaitsForTheReleasedDiffs) {
+  // Node 0 releases a lock managed at node 3, the object's home, with the
+  // diff riding the release over a slow 0->3 link. It then passes a barrier
+  // managed at node 0 with node 1, which reads the object from node 3
+  // right after. Nothing acknowledges a piggybacked diff, so without a
+  // fence node 1's fault-in overtakes the release and reads the old byte.
+  World w(4, Cfg(GetParam()));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock = LockId::Make(3, 1);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x5A; });
+    w.cluster.network().SetLinkDelay(0, 3, 20 * sim::kMillisecond);
+    a.Release(p, lock);
+    a.Barrier(p, barrier, 2);
+  });
+  Byte got = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Barrier(p, barrier, 2);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x5A);
+}
+
+TEST_P(SyncFence, NoFenceWhileSyncStaysAtOneManager) {
+  // Releases and a barrier all at node 0 (the object's home and the
+  // manager): FIFO on the one link already orders them, so no fence is
+  // sent: three sync messages per lock round plus the barrier's two.
+  World w(2, Cfg(GetParam()));
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    a.CreateObject(p, obj, Bytes(8, 0));
+    a.Barrier(p, barrier, 2);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    Burst(p, a, obj, lock, 3);
+    a.Barrier(p, barrier, 2);
+  });
+  w.Run();
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u * 3u + 2u);
+}
+
+/// Node 0 writes an object homed at node 3 under a lock managed there; the
+/// home moves to node 2 while node 0 holds the lock, so node 0's release
+/// (which still piggybacks the diff to node 3) is forwarded over a slow
+/// 3->2 link. Node 0 then runs `between` and passes a barrier managed at
+/// node 0 with node 1, which reads the object. Returns what node 1 read.
+Byte ReadAfterForwardedRelease(
+    const std::function<void(sim::Process&, Agent&)>& between) {
+  World w(4, Cfg("FT1"));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock3 = LockId::Make(3, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock3);
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(5 * kStep);  // FT1 moves the home to node 2 meanwhile
+    w.cluster.network().SetLinkDelay(3, 2, 20 * sim::kMillisecond);
+    a.Release(p, lock3);  // piggybacked to node 3, forwarded to node 2
+    between(p, a);
+    a.Barrier(p, barrier, 2);
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    Burst(p, a, obj, lock2, 3);
+  });
+  Byte got = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Barrier(p, barrier, 2);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[1]; });
+  });
+  w.Run();
+  EXPECT_TRUE(w.cluster.agent(2).IsHome(obj));
+  return got;
+}
+
+TEST(SyncFenceForwarded, FenceWaitsForTheDiffsTheManagerForwarded) {
+  EXPECT_EQ(ReadAfterForwardedRelease([](sim::Process&, Agent&) {}), 0x22);
+}
+
+TEST(SyncFenceForwarded, GrantFromTheSameManagerWaitsForThemToo) {
+  // A grant from node 3 lifts node 0's fence, so node 3 must hold it until
+  // the forwarded diff is acknowledged.
+  const LockId other = LockId::Make(3, 3);
+  EXPECT_EQ(ReadAfterForwardedRelease([&](sim::Process& p, Agent& a) {
+              a.Acquire(p, other);
+              a.Release(p, other);
+            }),
+            0x22);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, SyncFence,
+                         ::testing::Values("NoHM", "AT"));
 
 // ---------------------------------------------------------------------------
 // Defensive limits & misc

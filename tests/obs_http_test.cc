@@ -218,6 +218,7 @@ MeshView SampleView() {
   v.poll.totals.SetNodeCount(4);
   v.poll.totals.RecordMessage(stats::MsgCat::kObj, 64);
   v.poll.totals.Bump(stats::Ev::kMigrations, 3);
+  v.poll.totals.Bump(stats::Ev::kGrantCopies, 5);
   return v;
 }
 
@@ -239,7 +240,8 @@ TEST(ObsMetrics, PrometheusExposesTheFamilies) {
         "hmdsm_link_rtt_seconds{peer=\"2\",quantile=\"0.5\"}",
         "hmdsm_link_rtt_seconds_count{peer=\"2\"} 2",
         "hmdsm_rank_stale{rank=\"2\"} 1",
-        "hmdsm_events_total{event=\"migrations\"} 3", "hmdsm_poll_seq 7"}) {
+        "hmdsm_events_total{event=\"migrations\"} 3",
+        "hmdsm_events_total{event=\"grant_copies\"} 5", "hmdsm_poll_seq 7"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
   // Exposition format: last line still ends in a newline.

@@ -87,6 +87,25 @@ TEST(Wire, LockMessages) {
   EXPECT_EQ(d.piggybacked_diffs[1].first, (ObjectId::Make(1, 1, 2)));
 }
 
+TEST(Wire, LockGrantCarriesCopies) {
+  LockGrantMsg grant{LockId::Make(0, 3), {}};
+  grant.copies.emplace_back(ObjectId::Make(0, 1, 4), Bytes(256, Byte{9}));
+  grant.copies.emplace_back(ObjectId::Make(0, 2, 5), Bytes{1, 2});
+  auto d = RoundTrip(grant);
+  EXPECT_EQ(d.lock, grant.lock);
+  ASSERT_EQ(d.copies.size(), 2u);
+  EXPECT_EQ(d.copies[0].first, (ObjectId::Make(0, 1, 4)));
+  EXPECT_EQ(d.copies[0].second, Bytes(256, Byte{9}));
+  EXPECT_EQ(d.copies[1].second, (Bytes{1, 2}));
+  // The copies are the payload: the modelled size grows with them.
+  EXPECT_GT(Encode(grant).size(), 256u + 2u);
+}
+
+TEST(Wire, SyncFence) {
+  EXPECT_EQ(RoundTrip(SyncFenceMsg{0x1234}).ack_tag, 0x1234u);
+  EXPECT_EQ(PeekKind(Encode(SyncFenceMsg{})), Kind::kSyncFence);
+}
+
 TEST(Wire, BarrierMessages) {
   BarrierId b = BarrierId::Make(0, 12);
   BarrierArriveMsg arrive{b, 8, {}};
@@ -151,6 +170,39 @@ TEST(WireMalformed, EveryTruncationIsAnError) {
     EXPECT_FALSE(TryDecode(ByteSpan(wire.data(), len), &out, &error))
         << "prefix of " << len << " bytes decoded";
   }
+}
+
+TEST(WireMalformed, EveryTruncatedGrantIsAnError) {
+  LockGrantMsg grant{LockId::Make(1, 2), {}};
+  grant.copies.emplace_back(ObjectId::Make(1, 0, 1), Bytes(16, Byte{3}));
+  const Bytes wire = Encode(grant);
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    AnyMsg out;
+    std::string error;
+    EXPECT_FALSE(TryDecode(ByteSpan(wire.data(), len), &out, &error))
+        << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TEST(WireMalformed, GrantOverTheCopyCapIsRejected) {
+  LockGrantMsg grant{LockId::Make(1, 2), {}};
+  grant.copies.emplace_back(ObjectId::Make(1, 0, 1),
+                            Bytes(kMaxGrantCopyBytes / 2, Byte{1}));
+  grant.copies.emplace_back(ObjectId::Make(1, 0, 2),
+                            Bytes(kMaxGrantCopyBytes / 2, Byte{2}));
+  AnyMsg out;
+  std::string error;
+  EXPECT_TRUE(TryDecode(Encode(grant), &out, &error)) << error;
+  grant.copies[1].second.push_back(Byte{2});  // one byte over the cap
+  EXPECT_FALSE(TryDecode(Encode(grant), &out, &error));
+  EXPECT_NE(error.find("cap"), std::string::npos) << error;
+
+  // A copy count no remaining bytes could hold fails before allocating.
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(Kind::kLockGrant));
+  w.u64(LockId::Make(1, 2).value);
+  w.u32(0xFFFFFFFFu);
+  EXPECT_FALSE(TryDecode(w.take(), &out, &error));
 }
 
 TEST(WireMalformed, UnknownKindIsAnErrorNotAnException) {
