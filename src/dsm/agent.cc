@@ -355,6 +355,7 @@ void Agent::OnObjReply(NodeId src, proto::ObjReply msg) {
   CacheEntry ce;
   ce.data = std::move(msg.data);
   cache_[msg.obj] = std::move(ce);
+  ++cache_changes_;
   pf.waiters.NotifyAll();
 }
 
@@ -535,13 +536,21 @@ void Agent::ApplyPiggybacked(NodeId src,
     }
   }
   if (tag == 0) return;
-  ++forwards_in_flight_;
-  pending_acks_[tag].then = [this] {
-    if (--forwards_in_flight_ > 0) return;
-    std::vector<std::function<void()>> held = std::move(after_forwards_);
-    after_forwards_.clear();
-    for (auto& send : held) send();
+  forwards_in_flight_.insert(tag);
+  pending_acks_[tag].then = [this, tag] {
+    forwards_in_flight_.erase(tag);
+    SendLandedReplies();
   };
+}
+
+void Agent::SendLandedReplies() {
+  while (!after_forwards_.empty() &&
+         (forwards_in_flight_.empty() ||
+          *forwards_in_flight_.begin() >= after_forwards_.front().first)) {
+    std::function<void()> send = std::move(after_forwards_.front().second);
+    after_forwards_.pop_front();
+    send();
+  }
 }
 
 void Agent::ForwardDiff(NodeId writer, proto::DiffMsg&& msg) {
@@ -595,9 +604,11 @@ void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
   const std::uint64_t mark = FenceMark(manager);
+  LockWait& lw = lock_waiters_[lock];
+  lw.sent_at.push_back(cache_changes_);
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(proto::LockAcquireMsg{lock, std::move(piggy)}));
-  lock_waiters_[lock].Wait(proc);
+  lw.waiters.Wait(proc);
   FencedBy(manager, mark);
   // Acquire semantics (Java memory model / LRC): start a fresh interval and
   // drop cached copies so writes flushed to homes become visible. The
@@ -620,10 +631,7 @@ void Agent::Release(runtime::Exec& proc, LockId lock) {
   BumpInterval();
   // Nothing acknowledges these diffs; the next sync through another
   // manager fences this one first.
-  if (!piggy.empty()) {
-    unfenced_ = manager;
-    ++unfenced_seq_;
-  }
+  if (!piggy.empty()) ++fences_[manager].released;
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(proto::LockReleaseMsg{lock, std::move(piggy)}));
 }
@@ -642,46 +650,60 @@ void Agent::OnLockAcquire(NodeId src, proto::LockAcquireMsg msg) {
 }
 
 void Agent::SendGrant(LockId lock, NodeId to, bool handoff) {
-  proto::LockGrantMsg grant{lock, {}};
   // Only a handoff ships data: there the next holder's fault-in would sit
   // on the lock's serialized path. The manager itself homes every copy.
-  if (handoff && to != node_ && !config_.write_through) {
-    std::size_t bytes = 0;
-    for (ObjectId obj : managed_locks_[lock].guarded) {
-      auto home = homes_.find(obj);
-      if (home == homes_.end()) continue;
-      const std::size_t size = home->second.data.size();
-      if (bytes + size > proto::kMaxGrantCopyBytes) continue;
-      bytes += size;
-      grant.copies.emplace_back(obj, home->second.data);
+  // The copies are taken as the grant leaves, after any held forwards.
+  const bool ship = handoff && to != node_ && !config_.write_through;
+  WhenForwardsLand([this, lock, to, ship] {
+    proto::LockGrantMsg grant{lock, {}};
+    if (ship) {
+      std::unordered_set<ObjectId>& guarded = managed_locks_[lock].guarded;
+      std::size_t bytes = 0;
+      for (auto it = guarded.begin(); it != guarded.end();) {
+        auto home = homes_.find(*it);
+        if (home == homes_.end()) {
+          it = guarded.erase(it);
+          continue;
+        }
+        const std::size_t size = home->second.data.size();
+        if (bytes + size <= proto::kMaxGrantCopyBytes) {
+          bytes += size;
+          grant.copies.emplace_back(*it, home->second.data);
+        }
+        ++it;
+      }
     }
-  }
-  WhenForwardsLand([this, lock, to,
-                    copies = static_cast<std::int64_t>(grant.copies.size()),
-                    wire = proto::Encode(grant)]() mutable {
-    Emit(trace::What::kLockGranted, lock.value, to, copies);
-    SendMsg(to, MsgCat::kSync, std::move(wire));
+    Emit(trace::What::kLockGranted, lock.value, to,
+         static_cast<std::int64_t>(grant.copies.size()));
+    SendMsg(to, MsgCat::kSync, proto::Encode(grant));
   });
 }
 
 void Agent::OnLockGrant(proto::LockGrantMsg msg) {
   auto it = lock_waiters_.find(msg.lock);
-  HMDSM_CHECK_MSG(it != lock_waiters_.end() && !it->second.empty(),
+  HMDSM_CHECK_MSG(it != lock_waiters_.end() && !it->second.waiters.empty(),
                   "lock grant with no local waiter");
-  // Install the carried copies as the new holder's cache. A copy never
-  // replaces a home, a fetch in flight (it may be a migration) or a dirty
-  // copy.
-  const NodeId manager = msg.lock.manager();
-  for (auto& [obj, data] : msg.copies) {
-    if (homes_.contains(obj) || pending_fetch_.contains(obj)) continue;
-    CacheEntry& ce = cache_[obj];
-    if (ce.dirty) continue;
-    ce.data = std::move(data);
-    ce.granted = msg.lock;
-    hints_[obj] = manager;
-    recorder_.Bump(Ev::kGrantCopies);
+  LockWait& lw = it->second;
+  const std::uint64_t sent_at = lw.sent_at.front();
+  lw.sent_at.pop_front();
+  // Install the carried copies as the new holder's cache, unless some
+  // entry took newer contents (another thread's flush or fetch) since the
+  // request left: the copies may predate it. A copy never replaces a home,
+  // a fetch in flight (it may be a migration) or a dirty copy.
+  if (!msg.copies.empty() && cache_changes_ == sent_at) {
+    const NodeId manager = msg.lock.manager();
+    for (auto& [obj, data] : msg.copies) {
+      if (homes_.contains(obj) || pending_fetch_.contains(obj)) continue;
+      CacheEntry& ce = cache_[obj];
+      if (ce.dirty) continue;
+      ce.data = std::move(data);
+      ce.granted = msg.lock;
+      hints_[obj] = manager;
+      recorder_.Bump(Ev::kGrantCopies);
+    }
+    ++cache_changes_;
   }
-  it->second.NotifyOne();
+  lw.waiters.NotifyOne();
 }
 
 void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
@@ -710,15 +732,36 @@ void Agent::OnSyncFence(NodeId src, proto::SyncFenceMsg msg) {
   });
 }
 
-void Agent::Fence(runtime::Exec& proc) {
-  const NodeId manager = unfenced_;
-  unfenced_ = kNoNode;
-  const std::uint64_t tag = next_ack_tag_++;
-  pending_acks_[tag].remaining = 1;
-  SendMsg(manager, MsgCat::kSync, proto::Encode(proto::SyncFenceMsg{tag}));
-  auto& aw = pending_acks_[tag];
-  if (aw.remaining > 0) aw.waiter.Wait(proc);
-  pending_acks_.erase(tag);
+void Agent::FenceBefore(runtime::Exec& proc, NodeId manager) {
+  // What is owed is fixed now: releases sent while this caller waits are
+  // their own senders' concern.
+  std::vector<std::pair<NodeId, std::uint64_t>> owed;
+  for (const auto& [m, fs] : fences_)
+    if (m != manager && fs.fenced < fs.released)
+      owed.emplace_back(m, fs.released);
+  for (const auto& [m, upto] : owed) Fence(proc, m, upto);
+}
+
+void Agent::Fence(runtime::Exec& proc, NodeId manager, std::uint64_t upto) {
+  for (;;) {
+    FenceState& fs = fences_.at(manager);
+    if (fs.fenced >= upto) return;
+    if (fs.in_flight == 0) {
+      // Covers every release sent to `manager` so far: the link is FIFO.
+      fs.in_flight = fs.released;
+      const std::uint64_t tag = next_ack_tag_++;
+      AckWait& aw = pending_acks_[tag];
+      aw.remaining = 1;
+      aw.then = [this, manager] {
+        FenceState& done = fences_.at(manager);
+        done.fenced = std::max(done.fenced, done.in_flight);
+        done.in_flight = 0;
+        done.waiters.NotifyAll();
+      };
+      SendMsg(manager, MsgCat::kSync, proto::Encode(proto::SyncFenceMsg{tag}));
+    }
+    fs.waiters.Wait(proc);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -787,6 +830,7 @@ std::vector<std::pair<ObjectId, Bytes>> Agent::FlushDirty(
 
   for (auto& [obj, ce] : cache_) {
     if (!ce.dirty) continue;
+    ++cache_changes_;
     Bytes diff = Diff::Encode(ce.twin, ce.data);
     ce.dirty = false;
     ce.twin.clear();

@@ -21,7 +21,7 @@
 //    only after standalone diffs are acknowledged (so a subsequent lock
 //    holder can never fault in a stale copy). Diffs homed at the sync
 //    manager ride the sync message instead; before synchronizing through
-//    a different manager, the node fences the previous one, so no third
+//    a different manager, the node fences the ones they rode to, so no third
 //    node can learn of the release ahead of its diffs;
 //  * lock handoffs carry data — a contended grant ships the current copy
 //    of the manager-homed objects the lock guards, and the new holder's
@@ -31,10 +31,12 @@
 //    feed the migration policy exactly as in the paper (Section 3.3).
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -128,6 +130,13 @@ class Agent {
     std::optional<LockId> granted;
   };
 
+  struct LockWait {
+    runtime::WaitQueue waiters;
+    // cache_changes_ as each of this node's outstanding requests for the
+    // lock left, oldest first: the manager answers them in that order.
+    std::deque<std::uint64_t> sent_at;
+  };
+
   struct PendingFetch {
     runtime::WaitQueue waiters;
     std::uint32_t hops = 0;
@@ -148,8 +157,17 @@ class Agent {
     NodeId holder = kNoNode;
     std::deque<NodeId> queue;
     // Objects whose diffs rode this lock's acquire or release messages;
-    // a handoff grant carries the ones still homed here.
+    // a handoff grant carries them, and drops the ones no longer homed here.
     std::unordered_set<ObjectId> guarded;
+  };
+
+  /// Requester side, per remote manager: releases whose diffs rode to it
+  /// unacknowledged, and how far fences to it have caught up.
+  struct FenceState {
+    std::uint64_t released = 0;   // such releases sent so far
+    std::uint64_t fenced = 0;     // of those, the ones a fence ack covered
+    std::uint64_t in_flight = 0;  // covered by the fence in flight; 0: none
+    runtime::WaitQueue waiters;   // callers waiting on that fence
   };
 
   struct BarrierState {
@@ -217,40 +235,43 @@ class Agent {
                         std::vector<std::pair<ObjectId, Bytes>>& diffs);
 
   /// Runs `send` (a manager's grant, barrier release or fence ack) now, or
-  /// once every piggybacked diff this node forwarded is acknowledged: a
-  /// sync reply must not overtake the writes it publishes.
+  /// once the piggybacked diffs this node forwarded so far are
+  /// acknowledged: a sync reply must not overtake the writes it publishes.
+  /// Forwards that start later do not hold it.
   template <typename Fn>
   void WhenForwardsLand(Fn&& send) {
-    if (forwards_in_flight_ == 0) {
+    if (forwards_in_flight_.empty()) {
       send();
     } else {
-      after_forwards_.emplace_back(std::forward<Fn>(send));
+      after_forwards_.emplace_back(next_ack_tag_, std::forward<Fn>(send));
     }
   }
+  /// Sends the held replies whose forwards have all landed, in order.
+  void SendLandedReplies();
 
   /// Manager side: grants `lock` to `to`. A handoff (`to` was queued)
-  /// carries the guarded objects still homed here, up to
-  /// proto::kMaxGrantCopyBytes.
+  /// carries the current copies of the guarded objects still homed here,
+  /// up to proto::kMaxGrantCopyBytes.
   void SendGrant(LockId lock, NodeId to, bool handoff);
 
-  /// Before synchronizing through `manager`: if an earlier release's diffs
-  /// rode to a different manager, waits until that manager acknowledges
-  /// them (a SyncFenceMsg round trip).
-  void FenceBefore(runtime::Exec& proc, NodeId manager) {
-    if (unfenced_ != kNoNode && unfenced_ != manager) Fence(proc);
-  }
-  void Fence(runtime::Exec& proc);
+  /// Before synchronizing through `manager`: waits until every other
+  /// manager that earlier releases piggybacked diffs to has acknowledged
+  /// them (a SyncFenceMsg round trip each, shared by concurrent callers).
+  void FenceBefore(runtime::Exec& proc, NodeId manager);
+  void Fence(runtime::Exec& proc, NodeId manager, std::uint64_t upto);
 
-  /// A grant or barrier release from `manager` answers a request that
-  /// followed this node's releases on the FIFO link, and the manager holds
-  /// it until the diffs it forwarded land, so it fences those releases.
-  /// FenceMark is taken as the request leaves; FencedBy runs on the answer
-  /// and clears the fence unless a newer release went out meanwhile.
+  /// A grant or barrier release from `manager` answers a request that left
+  /// after this node's first `mark` releases to it (the link is FIFO), and
+  /// the manager holds it until the diffs it forwarded for them land, so it
+  /// fences those releases too. FenceMark is taken as the request leaves.
   std::uint64_t FenceMark(NodeId manager) const {
-    return unfenced_ == manager ? unfenced_seq_ : 0;
+    auto it = fences_.find(manager);
+    return it == fences_.end() ? 0 : it->second.released;
   }
   void FencedBy(NodeId manager, std::uint64_t mark) {
-    if (unfenced_ == manager && mark == unfenced_seq_) unfenced_ = kNoNode;
+    if (mark == 0) return;
+    FenceState& fs = fences_.at(manager);
+    fs.fenced = std::max(fs.fenced, mark);
   }
 
   /// Ensures a valid local copy (home or cache); may block `proc`.
@@ -321,19 +342,21 @@ class Agent {
   std::unordered_map<ObjectId, NodeId> manager_locations_;
 
   std::unordered_map<LockId, LockState> managed_locks_;
-  std::unordered_map<LockId, runtime::WaitQueue> lock_waiters_;
+  std::unordered_map<LockId, LockWait> lock_waiters_;
   std::unordered_map<BarrierId, BarrierState> managed_barriers_;
   std::unordered_map<BarrierId, runtime::WaitQueue> barrier_waiters_;
 
   std::unordered_map<std::uint64_t, AckWait> pending_acks_;
   // Sync-manager side: ack tags of forwarded piggybacked diffs still
-  // outstanding, and the replies held until they land (WhenForwardsLand).
-  std::uint32_t forwards_in_flight_ = 0;
-  std::vector<std::function<void()>> after_forwards_;
-  // The remote manager this node's last release piggybacked diffs to, until
-  // a fence to it completes (kNoNode: nothing unacknowledged).
-  NodeId unfenced_ = kNoNode;
-  std::uint64_t unfenced_seq_ = 0;  // bumped by every such release
+  // outstanding, and the replies held until the ones older than their
+  // watermark tag land (WhenForwardsLand).
+  std::set<std::uint64_t> forwards_in_flight_;
+  std::deque<std::pair<std::uint64_t, std::function<void()>>> after_forwards_;
+  std::unordered_map<NodeId, FenceState> fences_;
+  // Bumped whenever a cache entry takes new contents (fetch, flush, grant
+  // copy): a grant's copies may be older than any such change made after
+  // its request left, so they are installed only if there was none.
+  std::uint64_t cache_changes_ = 0;
   std::uint64_t next_ack_tag_ = 1;
   std::uint64_t interval_seq_ = 1;
   std::uint64_t barrier_epoch_ = 1;  // advances on each barrier release

@@ -456,6 +456,54 @@ TEST(GrantCopies, CopyNeverLandsOnAPendingFetch) {
   EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kGrantCopies), 0u);
 }
 
+TEST(GrantCopies, CopyNeverReplacesAnEntryFlushedAfterTheRequest) {
+  // Node 2 runs two threads. One queues on `lock` behind node 1. The other
+  // then writes the object under `other` (same manager) and releases it,
+  // the diff riding a slowed 2->0 link; its entry stays cached, clean and
+  // newer than the manager's copy. Node 1's handoff grant carries a copy
+  // taken before that diff lands: installing it would send the writer's
+  // next read back in time.
+  World w(3, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  const LockId other = LockId::Make(0, 2);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(4 * kStep);
+    a.Release(p, lock);  // the diff rides: obj is guarded, node 2 is next
+  });
+  Bytes holder_got;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { holder_got = ToBytes(b); });
+    a.Release(p, lock);
+  });
+  Byte writer_got[2] = {};
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);
+    a.Acquire(p, other);
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x77; });
+    w.cluster.network().SetLinkDelay(2, 0, 10 * kStep);
+    a.Release(p, other);
+    a.Read(p, obj, [&](ByteSpan b) { writer_got[0] = b[1]; });
+    p.Delay(4 * kStep);  // the handoff grant lands meanwhile
+    a.Read(p, obj, [&](ByteSpan b) { writer_got[1] = b[1]; });
+  });
+  w.Run();
+  EXPECT_EQ(writer_got[0], 0x77);
+  EXPECT_EQ(writer_got[1], 0x77);
+  ASSERT_EQ(holder_got.size(), 8u);
+  EXPECT_EQ(holder_got[0], 0x11);
+  EXPECT_EQ(holder_got[1], 0x77);
+  EXPECT_EQ(GrantCopies(w, 0, 2, lock), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(w.cluster.recorder(2).Count(Ev::kGrantCopies), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Sync fences: a release's piggybacked diffs land before anyone can learn
 // of the release through another manager
@@ -513,6 +561,44 @@ TEST_P(SyncFence, NoFenceWhileSyncStaysAtOneManager) {
   EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u * 3u + 2u);
 }
 
+TEST_P(SyncFence, SecondThreadWaitsForTheFenceInFlight) {
+  // Node 0 runs two threads. The first releases a lock managed at node 3,
+  // the object's home, with the diff riding a slow 0->3 link, then
+  // acquires a lock at node 2, which fences node 3 first. While that fence
+  // is in flight, the second thread passes a barrier at node 0 with node
+  // 1, which then reads the object: the barrier must wait for the fence.
+  World w(4, Cfg(GetParam()));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock3 = LockId::Make(3, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock3);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x5A; });
+    w.cluster.network().SetLinkDelay(0, 3, 10 * kStep);
+    a.Release(p, lock3);
+    a.Acquire(p, lock2);
+    a.Release(p, lock2);
+  });
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Barrier(p, barrier, 2);
+  });
+  Byte got = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Barrier(p, barrier, 2);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x5A);
+  // Two lock rounds, node 1's barrier arrival and release, and one fence
+  // round trip: the two threads share it.
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 3u + 2u + 2u);
+}
+
 /// Node 0 writes an object homed at node 3 under a lock managed there; the
 /// home moves to node 2 while node 0 holds the lock, so node 0's release
 /// (which still piggybacks the diff to node 3) is forwarded over a slow
@@ -564,6 +650,66 @@ TEST(SyncFenceForwarded, GrantFromTheSameManagerWaitsForThemToo) {
               a.Release(p, other);
             }),
             0x22);
+}
+
+TEST(SyncFenceForwarded, ReplyWaitsOnlyForEarlierForwards) {
+  // Node 3 manages the locks and was the home of two objects that FT1 has
+  // moved to node 2. Node 0's release has its diff forwarded over a slow
+  // 3->2 link, and node 1's grant, requested next, waits for it. Node 4's
+  // release is forwarded only after that grant was queued: the grant must
+  // not wait for it too.
+  World w(5, Cfg("FT1"));
+  w.cluster.trace().Enable();
+  const ObjectId obj_a = ObjectId::Make(3, 3, 1);
+  const ObjectId obj_b = ObjectId::Make(3, 3, 2);
+  const LockId lock_a = LockId::Make(3, 1);
+  const LockId lock_b = LockId::Make(3, 2);
+  const LockId lock_c = LockId::Make(3, 3);
+  const LockId lock2 = LockId::Make(2, 4);
+  constexpr sim::Time kMs = sim::kMillisecond;
+  w.On(3, [&](sim::Process& p, Agent& a) {
+    a.CreateObject(p, obj_a, Bytes(8, 0));
+    a.CreateObject(p, obj_b, Bytes(8, 0));
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    Burst(p, a, obj_a, lock2, 3);  // FT1 moves both homes to node 2
+    Burst(p, a, obj_b, lock2, 3);
+  });
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock_a);
+    a.Write(p, obj_a, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(5 * kStep);
+    w.cluster.network().SetLinkDelay(3, 2, 20 * kMs);
+    a.Release(p, lock_a);
+  });
+  w.On(4, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock_b);
+    a.Write(p, obj_b, [](MutByteSpan b) { b[1] = 0x44; });
+    p.Delay(5 * kStep + 10 * kMs);
+    a.Release(p, lock_b);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(6 * kStep + 5 * kMs);
+    a.Acquire(p, lock_c);
+    a.Release(p, lock_c);
+  });
+  w.Run();
+  ASSERT_TRUE(w.cluster.agent(2).IsHome(obj_a));
+  ASSERT_TRUE(w.cluster.agent(2).IsHome(obj_b));
+  const auto earlier =
+      EventTimes(w, trace::What::kDiffApplied, 2, 0, obj_a.value);
+  const auto later =
+      EventTimes(w, trace::What::kDiffApplied, 2, 4, obj_b.value);
+  const auto granted =
+      EventTimes(w, trace::What::kLockGranted, 3, 1, lock_c.value);
+  ASSERT_EQ(earlier.size(), 1u);
+  ASSERT_EQ(later.size(), 1u);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_LT(earlier[0], granted[0]);
+  EXPECT_LT(granted[0], later[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, SyncFence,
