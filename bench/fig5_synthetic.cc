@@ -7,7 +7,10 @@
 //   (a) normalized execution time of NM / FT1 / FT2 / AT for repetition
 //       r ∈ {2, 4, 8, 16} — each column normalized to its slowest protocol;
 //   (b) normalized message number broken down into obj / mig / diff / redir
-//       (sync messages excluded: invariant across protocols).
+//       (sync messages excluded, as in the paper; they are no longer
+//       invariant across protocols: once a protocol moves the counter to
+//       its writer, lock1's releases carry nothing and the lock stays
+//       with the writer, so AT sends fewer than NM).
 #include <iostream>
 #include <map>
 #include <string>

@@ -76,6 +76,8 @@ void Agent::HandlePacket(net::Packet&& packet) {
           OnChainUpdate(std::move(m));
         } else if constexpr (std::is_same_v<T, proto::SyncFenceMsg>) {
           OnSyncFence(src, std::move(m));
+        } else if constexpr (std::is_same_v<T, proto::LockRecallMsg>) {
+          OnLockRecall(std::move(m));
         }
       },
       std::move(msg));
@@ -596,6 +598,20 @@ void Agent::OnDiffAck(proto::DiffAck msg) {
 void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   recorder_.Bump(Ev::kLockAcquires);
   const NodeId manager = lock.manager();
+  LockWait& lw = lock_waiters_[lock];
+  if (lw.token && !lw.busy) {
+    // The lock stayed here since its last release: take it without a
+    // message, but as an acquire all the same. What would have ridden the
+    // acquire to the manager goes standalone and is acknowledged, and the
+    // fence orders earlier releases elsewhere before a later recall.
+    lw.busy = true;
+    recorder_.Bump(Ev::kLockLocalAcquires);
+    FenceBefore(proc, manager);
+    FlushDirty(proc, kNoNode);
+    BumpInterval();
+    InvalidateCache(&lock);
+    return;
+  }
   FenceBefore(proc, manager);
   // Acquiring is a synchronization point: dirty objects written outside
   // this lock's scope are flushed now (their diffs ride the acquire message
@@ -604,7 +620,6 @@ void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
   const std::uint64_t mark = FenceMark(manager);
-  LockWait& lw = lock_waiters_[lock];
   lw.sent_at.push_back(cache_changes_);
   SendMsg(manager, MsgCat::kSync,
           proto::Encode(proto::LockAcquireMsg{lock, std::move(piggy)}));
@@ -629,6 +644,15 @@ void Agent::Release(runtime::Exec& proc, LockId lock) {
   auto piggy =
       FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
   BumpInterval();
+  LockWait& lw = lock_waiters_[lock];
+  lw.busy = false;
+  // Every diff owed elsewhere is acknowledged by now, so a kept lock whose
+  // release publishes nothing at the manager stays here, unless it was
+  // recalled or another thread of this node is waiting for the manager.
+  if (lw.token && piggy.empty() && !lw.recalled && lw.sent_at.empty())
+    return;
+  lw.token = false;
+  lw.recalled = false;
   // Nothing acknowledges these diffs; the next sync through another
   // manager fences this one first.
   if (!piggy.empty()) ++fences_[manager].released;
@@ -646,6 +670,14 @@ void Agent::OnLockAcquire(NodeId src, proto::LockAcquireMsg msg) {
     SendGrant(msg.lock, src, /*handoff=*/false);
   } else {
     ls.queue.push_back(src);
+    if (ls.cached && !ls.recalled) {
+      // The holder may be keeping the lock; it left with the grant, so the
+      // recall cannot overtake it.
+      ls.recalled = true;
+      recorder_.Bump(Ev::kLockRecalls);
+      SendMsg(ls.holder, MsgCat::kSync,
+              proto::Encode(proto::LockRecallMsg{msg.lock}));
+    }
   }
 }
 
@@ -655,24 +687,25 @@ void Agent::SendGrant(LockId lock, NodeId to, bool handoff) {
   // The copies are taken as the grant leaves, after any held forwards.
   const bool ship = handoff && to != node_ && !config_.write_through;
   WhenForwardsLand([this, lock, to, ship] {
+    LockState& ls = managed_locks_[lock];
+    std::erase_if(ls.guarded,
+                  [this](ObjectId obj) { return !homes_.contains(obj); });
     proto::LockGrantMsg grant{lock, {}};
     if (ship) {
-      std::unordered_set<ObjectId>& guarded = managed_locks_[lock].guarded;
       std::size_t bytes = 0;
-      for (auto it = guarded.begin(); it != guarded.end();) {
-        auto home = homes_.find(*it);
-        if (home == homes_.end()) {
-          it = guarded.erase(it);
-          continue;
+      for (ObjectId obj : ls.guarded) {
+        const Bytes& data = homes_.at(obj).data;
+        if (bytes + data.size() <= proto::kMaxGrantCopyBytes) {
+          bytes += data.size();
+          grant.copies.emplace_back(obj, data);
         }
-        const std::size_t size = home->second.data.size();
-        if (bytes + size <= proto::kMaxGrantCopyBytes) {
-          bytes += size;
-          grant.copies.emplace_back(*it, home->second.data);
-        }
-        ++it;
       }
     }
+    // Decided as the grant leaves: an acquire queued before then makes it
+    // uncacheable, one queued after it sends a recall behind it.
+    grant.cacheable = to != node_ && ls.queue.empty() && ls.guarded.empty() &&
+                      !config_.write_through;
+    ls.cached = grant.cacheable;
     Emit(trace::What::kLockGranted, lock.value, to,
          static_cast<std::int64_t>(grant.copies.size()));
     SendMsg(to, MsgCat::kSync, proto::Encode(grant));
@@ -703,6 +736,9 @@ void Agent::OnLockGrant(proto::LockGrantMsg msg) {
     }
     ++cache_changes_;
   }
+  HMDSM_CHECK_MSG(!lw.token && !lw.busy, "lock granted to its holder");
+  lw.token = msg.cacheable;
+  lw.busy = true;
   lw.waiters.NotifyOne();
 }
 
@@ -714,6 +750,8 @@ void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
   for (const auto& piggy : msg.piggybacked_diffs)
     ls.guarded.insert(piggy.first);
   HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
+  ls.cached = false;
+  ls.recalled = false;
   if (ls.queue.empty()) {
     ls.holder = kNoNode;
   } else {
@@ -722,6 +760,19 @@ void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
     recorder_.Bump(Ev::kLockHandoffs);
     SendGrant(msg.lock, ls.holder, /*handoff=*/true);
   }
+}
+
+void Agent::OnLockRecall(proto::LockRecallMsg msg) {
+  LockWait& lw = lock_waiters_[msg.lock];
+  if (!lw.token) return;  // already on its way back: the recall crossed it
+  if (lw.busy) {
+    lw.recalled = true;  // Release sends it back
+    return;
+  }
+  // Kept and idle: its last release already fenced and flushed.
+  lw.token = false;
+  SendMsg(msg.lock.manager(), MsgCat::kSync,
+          proto::Encode(proto::LockReleaseMsg{msg.lock, {}}));
 }
 
 void Agent::OnSyncFence(NodeId src, proto::SyncFenceMsg msg) {
@@ -865,18 +916,13 @@ std::vector<std::pair<ObjectId, Bytes>> Agent::FlushDirty(
 }
 
 void Agent::InvalidateCache(const LockId* acquired) {
-  bool keep = false;
-  for (auto& [obj, ce] : cache_) {
-    HMDSM_CHECK_MSG(!ce.dirty, "invalidating a dirty copy — missing flush");
-    keep |= acquired != nullptr && ce.granted == *acquired;
-  }
-  if (!keep) {
-    cache_.clear();
-    return;
-  }
+  // The caller flushed its own writes before it waited, so a dirty copy is
+  // another thread's on this node, written inside that thread's critical
+  // section since: it stays for that thread's release to diff.
   for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.granted == *acquired) {
-      it->second.granted.reset();
+    CacheEntry& ce = it->second;
+    if (ce.dirty || (acquired != nullptr && ce.granted == *acquired)) {
+      ce.granted.reset();
       ++it;
     } else {
       it = cache_.erase(it);

@@ -26,6 +26,10 @@
 //  * lock handoffs carry data — a contended grant ships the current copy
 //    of the manager-homed objects the lock guards, and the new holder's
 //    acquire keeps those copies instead of faulting them in again;
+//  * uncontended locks stay with their holder — a cacheable grant lets a
+//    release that carries no diffs keep the lock without a message, and
+//    the manager recalls it only when another acquire arrives. Taking a
+//    kept lock again still fences, flushes and invalidates as an acquire;
 //  * home copies are always valid; the first home read and first home
 //    write per synchronization interval are trapped and recorded — these
 //    feed the migration policy exactly as in the paper (Section 3.3).
@@ -135,6 +139,12 @@ class Agent {
     // cache_changes_ as each of this node's outstanding requests for the
     // lock left, oldest first: the manager answers them in that order.
     std::deque<std::uint64_t> sent_at;
+    // This node holds the lock under a cacheable grant (it has not sent the
+    // lock back yet), a thread of this node is inside it, and the manager
+    // has recalled it while that thread was.
+    bool token = false;
+    bool busy = false;
+    bool recalled = false;
   };
 
   struct PendingFetch {
@@ -157,8 +167,13 @@ class Agent {
     NodeId holder = kNoNode;
     std::deque<NodeId> queue;
     // Objects whose diffs rode this lock's acquire or release messages;
-    // a handoff grant carries them, and drops the ones no longer homed here.
+    // every grant drops the ones no longer homed here, a handoff grant
+    // carries the rest.
     std::unordered_set<ObjectId> guarded;
+    // The holder got a cacheable grant and may be keeping the lock; a
+    // recall has been sent for it. Any release clears both.
+    bool cached = false;
+    bool recalled = false;
   };
 
   /// Requester side, per remote manager: releases whose diffs rode to it
@@ -206,6 +221,7 @@ class Agent {
   void OnHomeBroadcast(proto::HomeBroadcastMsg msg);
   void OnChainUpdate(proto::ChainUpdateMsg msg);
   void OnSyncFence(NodeId src, proto::SyncFenceMsg msg);
+  void OnLockRecall(proto::LockRecallMsg msg);
 
   /// Posts the discovered home back to the stalest chain member after a
   /// multi-hop walk (when chain compression is enabled). `home_epoch` is
@@ -251,7 +267,9 @@ class Agent {
 
   /// Manager side: grants `lock` to `to`. A handoff (`to` was queued)
   /// carries the current copies of the guarded objects still homed here,
-  /// up to proto::kMaxGrantCopyBytes.
+  /// up to proto::kMaxGrantCopyBytes. The grant is cacheable when, as it
+  /// leaves, `to` is remote, nobody else waits, the lock guards nothing
+  /// homed here and write-through mode is off.
   void SendGrant(LockId lock, NodeId to, bool handoff);
 
   /// Before synchronizing through `manager`: waits until every other
@@ -288,7 +306,8 @@ class Agent {
                                                      NodeId sync_manager);
 
   /// Acquire semantics: drop all non-home cached copies, except the copies
-  /// a grant of `acquired` (if any) just delivered.
+  /// a grant of `acquired` (if any) just delivered and the ones another
+  /// thread of this node has dirtied since the caller flushed.
   void InvalidateCache(const LockId* acquired = nullptr);
 
   /// Advances the synchronization-interval sequence (re-arms home traps).

@@ -59,6 +59,8 @@ RunReport MakeRunReport(const stats::Recorder& rec, double seconds) {
   report.exclusive_home_writes = rec.Count(stats::Ev::kExclusiveHomeWrites);
   report.fault_ins = rec.Count(stats::Ev::kFaultIns);
   report.grant_copies = rec.Count(stats::Ev::kGrantCopies);
+  report.lock_local_acquires = rec.Count(stats::Ev::kLockLocalAcquires);
+  report.lock_recalls = rec.Count(stats::Ev::kLockRecalls);
   const stats::MsgTotals sent = rec.TotalSent();
   const stats::MsgTotals received = rec.TotalReceived();
   report.sent_messages = sent.messages;

@@ -279,6 +279,10 @@ struct RunReport {
   /// Objects lock grants delivered into the new holder's cache (each one a
   /// fault-in that did not happen).
   std::uint64_t grant_copies = 0;
+  /// Acquires of a lock this node kept since its last release (no message),
+  /// and the recalls managers sent to take such a lock back.
+  std::uint64_t lock_local_acquires = 0;
+  std::uint64_t lock_recalls = 0;
   /// Per-node attribution sums: sends counted by senders, receives by
   /// receivers. Equal at quiescence iff no message was lost — the
   /// cross-process conformance suite asserts it on every backend.

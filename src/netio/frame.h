@@ -46,8 +46,10 @@ namespace hmdsm::netio {
 /// piggybacked diffs it forwards), and the migrating policy state and the
 /// ledger's decisions carry the sync-locality count. v10: a lock grant
 /// carries object copies, the SyncFence message exists, and the recorder
-/// serialization grew the grant-copies counter.
-constexpr std::uint32_t kProtocolVersion = 10;
+/// serialization grew the grant-copies counter. v11: a lock grant carries
+/// its cacheable flag, the LockRecall message exists, and the recorder
+/// serialization grew the local-acquire and recall counters.
+constexpr std::uint32_t kProtocolVersion = 11;
 
 /// Hello/HelloAck feature flags. A feature is active on a link only when
 /// *both* ends advertise it, so mixed command lines degrade to the common

@@ -98,6 +98,7 @@ Bytes Encode(const LockGrantMsg& m) {
   Writer w = Begin(Kind::kLockGrant);
   w.u64(m.lock.value);
   PutDiffList(w, m.copies);
+  w.u8(m.cacheable ? 1 : 0);
   return w.take();
 }
 
@@ -177,6 +178,12 @@ Bytes Encode(const SyncFenceMsg& m) {
   return w.take();
 }
 
+Bytes Encode(const LockRecallMsg& m) {
+  Writer w = Begin(Kind::kLockRecall);
+  w.u64(m.lock.value);
+  return w.take();
+}
+
 Kind PeekKind(ByteSpan wire) {
   HMDSM_CHECK(!wire.empty());
   return static_cast<Kind>(wire[0]);
@@ -245,6 +252,7 @@ AnyMsg DecodeImpl(Reader& r) {
       HMDSM_CHECK_MSG(total <= kMaxGrantCopyBytes,
                       "grant carries " << total << " object bytes, over the "
                                        << kMaxGrantCopyBytes << " cap");
+      m.cacheable = r.u8() != 0;
       return m;
     }
     case Kind::kLockRelease: {
@@ -310,6 +318,11 @@ AnyMsg DecodeImpl(Reader& r) {
     case Kind::kSyncFence: {
       SyncFenceMsg m;
       m.ack_tag = r.u64();
+      return m;
+    }
+    case Kind::kLockRecall: {
+      LockRecallMsg m;
+      m.lock = LockId{r.u64()};
       return m;
     }
   }

@@ -42,6 +42,7 @@ enum class Kind : std::uint8_t {
   kHomeBroadcast,
   kChainUpdate,
   kSyncFence,
+  kLockRecall,
 };
 
 /// Fault-in request. `hops` counts redirections suffered so far (the home
@@ -112,9 +113,12 @@ inline constexpr std::size_t kMaxGrantCopyBytes = 64 * 1024;
 /// copy of every object the lock guards that it still homes (an object is
 /// guarded once its diff rode this lock's acquire or release), up to
 /// kMaxGrantCopyBytes in total, so the next holder need not fault them in.
+/// A `cacheable` grant lets the holder keep the lock across a release that
+/// carries no diffs, until the manager sends a LockRecallMsg.
 struct LockGrantMsg {
   LockId lock;
   std::vector<std::pair<ObjectId, Bytes>> copies;
+  bool cacheable = false;
 };
 
 /// Lock release, optionally carrying diffs whose home is the lock manager
@@ -184,13 +188,20 @@ struct SyncFenceMsg {
   std::uint64_t ack_tag = 0;
 };
 
+/// Manager -> holder of a kept lock: another node asked for it. The holder
+/// returns it with an empty LockReleaseMsg, at once if no thread holds it,
+/// else at its release; a holder that has already returned it ignores this.
+struct LockRecallMsg {
+  LockId lock;
+};
+
 using AnyMsg =
     std::variant<ObjRequest, ObjReply, MigrateReply, Redirect, DiffMsg,
                  DiffAck, LockAcquireMsg, LockGrantMsg, LockReleaseMsg,
                  BarrierArriveMsg, BarrierReleaseMsg, InitObjectMsg,
                  InitAckMsg, ManagerUpdateMsg, ManagerLookupMsg,
                  ManagerReplyMsg, HomeBroadcastMsg, ChainUpdateMsg,
-                 SyncFenceMsg>;
+                 SyncFenceMsg, LockRecallMsg>;
 
 Bytes Encode(const ObjRequest&);
 Bytes Encode(const ObjReply&);
@@ -211,6 +222,7 @@ Bytes Encode(const ManagerReplyMsg&);
 Bytes Encode(const HomeBroadcastMsg&);
 Bytes Encode(const ChainUpdateMsg&);
 Bytes Encode(const SyncFenceMsg&);
+Bytes Encode(const LockRecallMsg&);
 
 /// Decodes any protocol message (leading kind byte selects the type).
 /// Trusted-input path: throws CheckError on malformed bytes (an in-process

@@ -39,6 +39,8 @@ std::string_view EvName(Ev ev) {
     case Ev::kLockAcquires: return "lock_acquires";
     case Ev::kLockHandoffs: return "lock_handoffs";
     case Ev::kGrantCopies: return "grant_copies";
+    case Ev::kLockLocalAcquires: return "lock_local_acquires";
+    case Ev::kLockRecalls: return "lock_recalls";
     case Ev::kBarrierWaits: return "barrier_waits";
     case Ev::kSocketWrites: return "socket_writes";
     case Ev::kWireFramesEnqueued: return "wire_frames_enqueued";

@@ -37,6 +37,8 @@ enum class Ev : std::uint8_t {
   kLockAcquires,
   kLockHandoffs,        // grants that crossed nodes
   kGrantCopies,         // objects a lock grant delivered into the cache
+  kLockLocalAcquires,   // acquires of a kept lock: no message sent
+  kLockRecalls,         // recalls a manager sent to a kept lock's holder
   kBarrierWaits,
   // Wire-level counters (sockets backend). The socket transport folds its
   // atomics in at snapshot time so the coordinator's recorder gather

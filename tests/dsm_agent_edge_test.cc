@@ -1,7 +1,8 @@
 // Deeper protocol-edge tests for the DSM agent: multi-migration chains
 // under each notification mechanism, home-access trap re-arming, barrier
 // generation reuse, lock fairness, piggyback forwarding after migration,
-// lock grants that carry data, sync fences, and defensive limits.
+// lock grants that carry data, sync fences, kept locks and recalls, and
+// defensive limits.
 #include <gtest/gtest.h>
 
 #include "src/dsm/agent.h"
@@ -543,7 +544,10 @@ TEST_P(SyncFence, BarrierAtAnotherManagerWaitsForTheReleasedDiffs) {
 TEST_P(SyncFence, NoFenceWhileSyncStaysAtOneManager) {
   // Releases and a barrier all at node 0 (the object's home and the
   // manager): FIFO on the one link already orders them, so no fence is
-  // sent: three sync messages per lock round plus the barrier's two.
+  // sent: three sync messages per lock round plus the barrier's two. Under
+  // AT the home moves to node 1 within the burst, so its last release
+  // carries no diff and keeps the lock: one message fewer.
+  const bool at = std::string(GetParam()) == "AT";
   World w(2, Cfg(GetParam()));
   const ObjectId obj = ObjectId::Make(0, 0, 1);
   const LockId lock = LockId::Make(0, 1);
@@ -558,7 +562,7 @@ TEST_P(SyncFence, NoFenceWhileSyncStaysAtOneManager) {
     a.Barrier(p, barrier, 2);
   });
   w.Run();
-  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u * 3u + 2u);
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u * 3u + 2u - (at ? 1 : 0));
 }
 
 TEST_P(SyncFence, SecondThreadWaitsForTheFenceInFlight) {
@@ -595,8 +599,9 @@ TEST_P(SyncFence, SecondThreadWaitsForTheFenceInFlight) {
   w.Run();
   EXPECT_EQ(got, 0x5A);
   // Two lock rounds, node 1's barrier arrival and release, and one fence
-  // round trip: the two threads share it.
-  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 3u + 2u + 2u);
+  // round trip: the two threads share it. lock2 is uncontended and its
+  // release carries nothing, so node 0 keeps it: no release message.
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 2u + 2u + 2u);
 }
 
 /// Node 0 writes an object homed at node 3 under a lock managed there; the
@@ -716,8 +721,354 @@ INSTANTIATE_TEST_SUITE_P(Policies, SyncFence,
                          ::testing::Values("NoHM", "AT"));
 
 // ---------------------------------------------------------------------------
+// Lock caching: an uncontended lock stays with its last holder until the
+// manager recalls it
+// ---------------------------------------------------------------------------
+
+TEST(LockCache, KeptLockIsTakenAgainWithoutAMessage) {
+  // The object is homed at the holder, so its releases carry nothing and
+  // the lock (managed at node 0) stays at node 1.
+  World w(2, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(1, 1, 1);
+  const LockId lock = LockId::Make(0, 1);
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    a.CreateObject(p, obj, Bytes(8, 0));
+    Burst(p, a, obj, lock, 1);
+    before = w.rec().TotalMessages();
+    Burst(p, a, obj, lock, 2);
+    after = w.rec().TotalMessages();
+  });
+  w.Run();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 2u);  // acquire, grant
+  EXPECT_EQ(w.cluster.recorder(1).Count(Ev::kLockLocalAcquires), 2u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockAcquires), 3u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 0u);
+}
+
+TEST(LockCache, ReleaseWithADiffForTheManagerReturnsTheLock) {
+  // The object is homed at the manager: each release carries its diff
+  // there, and with it the lock. Three sync messages per round.
+  World w(2, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    Burst(p, a, obj, lock, 2);
+  });
+  w.Run();
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 2u * 3u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockLocalAcquires), 0u);
+  EXPECT_EQ(w.cluster.agent(0).PeekHomeData(obj)[0], 2);
+}
+
+TEST(LockCache, RecallWhileBusyReturnsTheLockAtRelease) {
+  // Node 1 holds the lock under a cacheable grant when node 2 asks: the
+  // recall waits for node 1's release, which sends the lock back, and
+  // node 2 reads what node 1 wrote (a standalone diff to node 3).
+  World w(4, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  std::int64_t released_at = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kStep);  // node 2 asks meanwhile
+    a.Release(p, lock);
+    released_at = w.cluster.kernel().now();
+  });
+  Byte got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x11);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+  const auto granted = EventTimes(w, trace::What::kLockGranted, 0, 2,
+                                  lock.value);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_GE(granted[0], released_at);
+  // Acquire and grant each, the recall, node 1's release; node 2 keeps it.
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 2u + 2u + 1u + 1u);
+}
+
+TEST(LockCache, RecallWhileIdleReturnsTheLockAtOnce) {
+  World w(3, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const LockId lock = LockId::Make(0, 1);
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Release(p, lock);  // kept
+  });
+  std::int64_t asked_at = 0;
+  std::int64_t got_at = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);
+    asked_at = w.cluster.kernel().now();
+    a.Acquire(p, lock);
+    got_at = w.cluster.kernel().now();
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+  // Node 2's acquire, the recall, node 1's return and the grant: four
+  // one-way trips, nothing waits on a thread of node 1.
+  EXPECT_LT(got_at - asked_at, kStep / 10);
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 2u + 4u);
+}
+
+TEST(LockCache, StaleRecallIsIgnored) {
+  // Node 1 keeps the lock, then takes it again locally and releases it
+  // with a diff for the manager, which sends it back. Node 2's acquire
+  // came in between; its recall crawls over a slowed 0->1 link and lands
+  // after the lock left. Acting on it would send a second release.
+  World w(3, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Release(p, lock);  // kept
+    w.cluster.network().SetLinkDelay(0, 1, 10 * kStep);
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);  // local
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    a.Release(p, lock);  // the diff rides it: the lock goes back
+  });
+  Byte got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    a.Acquire(p, lock);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x11);
+  EXPECT_EQ(w.cluster.recorder(1).Count(Ev::kLockLocalAcquires), 1u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+  // Node 1: acquire, grant, release. Node 2: acquire, recall, grant (a
+  // handoff of the now-guarded object: not cacheable), release.
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 4u);
+}
+
+TEST(LockCache, TwoThreadsOnOneNodeShareTheLock) {
+  // Two threads of node 1 and one of node 2 increment a counter homed at
+  // node 3 under a lock managed at node 0. Releases carry nothing to the
+  // manager, so the lock is kept whenever nobody else waits.
+  World w(4, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  const auto increments = [&](NodeId node, sim::Time start, int count) {
+    w.On(node, [&, start, count](sim::Process& p, Agent& a) {
+      p.Delay(start);
+      for (int i = 0; i < count; ++i) {
+        a.Acquire(p, lock);
+        Byte v = 0;
+        a.Read(p, obj, [&](ByteSpan b) { v = b[0]; });
+        p.Delay(sim::kMillisecond);
+        a.Write(p, obj, [&](MutByteSpan b) { b[0] = static_cast<Byte>(v + 1); });
+        a.Release(p, lock);
+        p.Delay(3 * sim::kMillisecond);
+      }
+    });
+  };
+  increments(1, kStep, 10);
+  increments(1, kStep + 2 * sim::kMillisecond, 10);
+  increments(2, kStep + 30 * sim::kMillisecond, 10);
+  w.Run();
+  EXPECT_EQ(w.cluster.agent(3).PeekHomeData(obj)[0], 30);
+  EXPECT_GT(w.cluster.recorder(1).Count(Ev::kLockLocalAcquires), 0u);
+  EXPECT_GT(w.rec().Count(Ev::kLockRecalls), 0u);
+}
+
+TEST(LockCache, ReleaseSendsTheLockBackWhenAnotherLocalThreadAsked) {
+  // Thread B of node 1 asks the manager while thread A holds the kept
+  // lock, over a slowed 0->1 link. A's release must send the lock back at
+  // once rather than keep it until the recall crawls in: B then waits one
+  // slow trip (the grant), not two (the recall and the grant).
+  World w(2, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(1, 1, 1);
+  const LockId lock = LockId::Make(0, 1);
+  constexpr sim::Time kSlow = 20 * sim::kMillisecond;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    a.CreateObject(p, obj, Bytes(8, 0));
+    p.Delay(kStep);
+    Burst(p, a, obj, lock, 1);  // kept
+    w.cluster.network().SetLinkDelay(0, 1, kSlow);
+    a.Acquire(p, lock);  // local
+    p.Delay(5 * sim::kMillisecond);  // B asks meanwhile
+    a.Release(p, lock);
+  });
+  std::int64_t got_at = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep + sim::kMillisecond);
+    a.Acquire(p, lock);
+    got_at = w.cluster.kernel().now();
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x22; });
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_LT(got_at, kStep + 5 * sim::kMillisecond + kSlow + kSlow / 2);
+  EXPECT_EQ(w.cluster.agent(1).PeekHomeData(obj)[0], 0x22);
+}
+
+TEST(LockCache, LocalAcquireIsStillAFlushPoint) {
+  // A write made outside any lock reaches its home (node 2) before a
+  // local acquire returns, as it would before an acquire message left.
+  World w(3, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(2, 2, 1);
+  const LockId lock = LockId::Make(0, 1);
+  w.On(2, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  Byte at_home = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock);
+    a.Release(p, lock);  // kept
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x77; });
+    a.Acquire(p, lock);  // local
+    at_home = w.cluster.agent(2).PeekHomeData(obj)[0];
+    a.Release(p, lock);
+  });
+  w.Run();
+  EXPECT_EQ(w.cluster.recorder(1).Count(Ev::kLockLocalAcquires), 1u);
+  EXPECT_EQ(at_home, 0x77);
+}
+
+TEST(LockCache, AcquireBehindAHeldHandoffSendsNoRecall) {
+  // Node 2 holds lock0 under a cacheable grant; node 3's acquire recalls
+  // it. Node 2's release piggybacks a diff that the manager must forward
+  // to the object's new home over a slowed link, so the handoff to node 3
+  // waits for the ack. Node 4 asks in that window: the release cleared
+  // the cached mark, so no second recall goes out (it would reach node 3
+  // ahead of its grant).
+  World w(5, Cfg("FT1"));
+  const ObjectId obj = ObjectId::Make(0, 0, 1);
+  const LockId lock0 = LockId::Make(0, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  constexpr sim::Time kMs = sim::kMillisecond;
+  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock0);
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(5 * kStep);  // the home migrates 0->1 meanwhile
+    w.cluster.network().SetLinkDelay(0, 1, 20 * kMs);
+    a.Release(p, lock0);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(2 * kStep);
+    Burst(p, a, obj, lock2, 3);
+  });
+  Byte got[2] = {};
+  for (NodeId n : {3, 4}) {
+    w.On(n, [&, n](sim::Process& p, Agent& a) {
+      p.Delay(n == 3 ? 3 * kStep : 6 * kStep + 5 * kMs);
+      a.Acquire(p, lock0);
+      a.Read(p, obj, [&](ByteSpan b) { got[n - 3] = b[1]; });
+      a.Release(p, lock0);
+    });
+  }
+  w.Run();
+  ASSERT_TRUE(w.cluster.agent(1).IsHome(obj));
+  EXPECT_EQ(got[0], 0x22);
+  EXPECT_EQ(got[1], 0x22);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+}
+
+TEST(LockCache, LocalAcquireFencesLikeAMessageAcquire) {
+  // Node 0 keeps lock2 (managed at node 2), then releases lock3 with a
+  // diff riding a slowed link to node 3, the object's home, and takes
+  // lock2 again locally. A message acquire would fence node 3 before
+  // syncing at node 2; the local one must too, so node 1, which recalls
+  // lock2 meanwhile, reads the write.
+  World w(4, Cfg("NoHM"));
+  w.cluster.trace().Enable();
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock3 = LockId::Make(3, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  std::int64_t acquired_at = 0;
+  w.On(0, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock2);
+    a.Release(p, lock2);  // kept
+    a.Acquire(p, lock3);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x5A; });
+    w.cluster.network().SetLinkDelay(0, 3, 10 * kStep);
+    a.Release(p, lock3);
+    a.Acquire(p, lock2);  // local
+    acquired_at = w.cluster.kernel().now();
+    p.Delay(kStep);
+    a.Release(p, lock2);  // recalled: sent back
+  });
+  Byte got = 0;
+  w.On(1, [&](sim::Process& p, Agent& a) {
+    p.Delay(3 * kStep);
+    a.Acquire(p, lock2);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Release(p, lock2);
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x5A);
+  EXPECT_EQ(w.cluster.recorder(0).Count(Ev::kLockLocalAcquires), 1u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+  const auto applied =
+      EventTimes(w, trace::What::kDiffApplied, 3, 0, obj.value);
+  ASSERT_EQ(applied.size(), 1u);
+  EXPECT_LE(applied[0], acquired_at);
+}
+
+// ---------------------------------------------------------------------------
 // Defensive limits & misc
 // ---------------------------------------------------------------------------
+
+TEST(AgentEdge, AcquireKeepsAnotherThreadsDirtyCopy) {
+  // Two threads of node 1. B writes the object (homed at node 3) inside
+  // lock2. A's acquire of lock0 flushes it, then waits for its grant over
+  // a slowed 0->1 link, while B writes the object again. A's invalidation
+  // must keep that dirty copy for B's release, not drop or trip on it.
+  World w(4, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock0 = LockId::Make(0, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  constexpr sim::Time kMs = sim::kMillisecond;
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  Bytes seen;
+  w.On(1, [&](sim::Process& p, Agent& a) {  // B
+    p.Delay(kStep);
+    a.Acquire(p, lock2);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kMs);  // A flushes and waits meanwhile
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(10 * kMs);  // A's grant lands meanwhile
+    a.Read(p, obj, [&](ByteSpan b) { seen = ToBytes(b); });
+    a.Release(p, lock2);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {  // A
+    p.Delay(kStep + kMs);
+    w.cluster.network().SetLinkDelay(0, 1, 5 * kMs);
+    a.Acquire(p, lock0);
+    a.Release(p, lock0);
+  });
+  w.Run();
+  ASSERT_EQ(seen.size(), 8u);
+  EXPECT_EQ(seen[0], 0x11);
+  EXPECT_EQ(seen[1], 0x22);
+  EXPECT_EQ(w.cluster.agent(3).PeekHomeData(obj)[0], 0x11);
+  EXPECT_EQ(w.cluster.agent(3).PeekHomeData(obj)[1], 0x22);
+}
 
 TEST(AgentEdge, RedirectHopGuardFailsLoudly) {
   DsmConfig cfg = Cfg("MH");

@@ -219,6 +219,8 @@ MeshView SampleView() {
   v.poll.totals.RecordMessage(stats::MsgCat::kObj, 64);
   v.poll.totals.Bump(stats::Ev::kMigrations, 3);
   v.poll.totals.Bump(stats::Ev::kGrantCopies, 5);
+  v.poll.totals.Bump(stats::Ev::kLockLocalAcquires, 11);
+  v.poll.totals.Bump(stats::Ev::kLockRecalls, 2);
   return v;
 }
 
@@ -241,7 +243,9 @@ TEST(ObsMetrics, PrometheusExposesTheFamilies) {
         "hmdsm_link_rtt_seconds_count{peer=\"2\"} 2",
         "hmdsm_rank_stale{rank=\"2\"} 1",
         "hmdsm_events_total{event=\"migrations\"} 3",
-        "hmdsm_events_total{event=\"grant_copies\"} 5", "hmdsm_poll_seq 7"}) {
+        "hmdsm_events_total{event=\"grant_copies\"} 5",
+        "hmdsm_events_total{event=\"lock_local_acquires\"} 11",
+        "hmdsm_events_total{event=\"lock_recalls\"} 2", "hmdsm_poll_seq 7"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
   // Exposition format: last line still ends in a newline.

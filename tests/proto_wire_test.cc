@@ -101,6 +101,24 @@ TEST(Wire, LockGrantCarriesCopies) {
   EXPECT_GT(Encode(grant).size(), 256u + 2u);
 }
 
+TEST(Wire, LockGrantCarriesItsCacheableFlag) {
+  LockGrantMsg grant{LockId::Make(0, 3), {}};
+  EXPECT_FALSE(RoundTrip(grant).cacheable);
+  grant.cacheable = true;
+  EXPECT_TRUE(RoundTrip(grant).cacheable);
+  grant.copies.emplace_back(ObjectId::Make(0, 1, 4), Bytes{7});
+  const LockGrantMsg d = RoundTrip(grant);
+  EXPECT_TRUE(d.cacheable);
+  ASSERT_EQ(d.copies.size(), 1u);
+  EXPECT_EQ(d.copies[0].second, Bytes{7});
+}
+
+TEST(Wire, LockRecall) {
+  const LockId lock = LockId::Make(5, 42);
+  EXPECT_EQ(RoundTrip(LockRecallMsg{lock}).lock, lock);
+  EXPECT_EQ(PeekKind(Encode(LockRecallMsg{lock})), Kind::kLockRecall);
+}
+
 TEST(Wire, SyncFence) {
   EXPECT_EQ(RoundTrip(SyncFenceMsg{0x1234}).ack_tag, 0x1234u);
   EXPECT_EQ(PeekKind(Encode(SyncFenceMsg{})), Kind::kSyncFence);
@@ -173,9 +191,24 @@ TEST(WireMalformed, EveryTruncationIsAnError) {
 }
 
 TEST(WireMalformed, EveryTruncatedGrantIsAnError) {
-  LockGrantMsg grant{LockId::Make(1, 2), {}};
-  grant.copies.emplace_back(ObjectId::Make(1, 0, 1), Bytes(16, Byte{3}));
-  const Bytes wire = Encode(grant);
+  // The prefix one byte short drops exactly the cacheable flag.
+  for (bool with_copy : {false, true}) {
+    LockGrantMsg grant{LockId::Make(1, 2), {}};
+    grant.cacheable = true;
+    if (with_copy)
+      grant.copies.emplace_back(ObjectId::Make(1, 0, 1), Bytes(16, Byte{3}));
+    const Bytes wire = Encode(grant);
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      AnyMsg out;
+      std::string error;
+      EXPECT_FALSE(TryDecode(ByteSpan(wire.data(), len), &out, &error))
+          << "prefix of " << len << " bytes decoded";
+    }
+  }
+}
+
+TEST(WireMalformed, EveryTruncatedRecallIsAnError) {
+  const Bytes wire = Encode(LockRecallMsg{LockId::Make(1, 2)});
   for (std::size_t len = 0; len < wire.size(); ++len) {
     AnyMsg out;
     std::string error;

@@ -111,6 +111,28 @@ TEST(WriteThrough, LockedCountersStillExact) {
   });
 }
 
+TEST(WriteThrough, UncontendedLockStillGoesToTheManager) {
+  // A sole locker's releases carry no diffs here (every write went to the
+  // home already), but write-through mode keeps every sync message: no
+  // grant lets the holder keep the lock.
+  Vm vm(Opts(true));
+  vm.Run([&](Env& env) {
+    auto counter = GlobalScalar<long>::Create(env, 0, 0);
+    gos::LockId lock = vm.CreateLock(0);
+    vm.ResetMeasurement();
+    Thread* t = vm.Spawn(1, [&](Env& me) {
+      for (int i = 0; i < 10; ++i)
+        me.Synchronized(lock, [&] {
+          counter.Update(me, [](long v) { return v + 1; });
+        });
+    });
+    vm.Join(env, t);
+    const gos::RunReport r = vm.Report();
+    EXPECT_EQ(r.lock_local_acquires, 0u);
+    EXPECT_EQ(r.cat[static_cast<int>(stats::MsgCat::kSync)].messages, 30u);
+  });
+}
+
 TEST(WriteThrough, ComposesWithMigration) {
   // A lasting single writer still attracts the home under AT, after which
   // its write-through accesses become free home writes.

@@ -157,13 +157,16 @@ void PrintReport(const gos::RunReport& r, bool wall_clock = false,
   t.Print(std::cout);
   std::printf(
       "\nmigrations=%llu rejections=%llu redirect-hops=%llu diffs=%llu "
-      "fault-ins=%llu grant-copies=%llu exclusive-home-writes=%llu\n",
+      "fault-ins=%llu grant-copies=%llu local-acquires=%llu recalls=%llu "
+      "exclusive-home-writes=%llu\n",
       static_cast<unsigned long long>(r.migrations),
       static_cast<unsigned long long>(r.mig_rejections),
       static_cast<unsigned long long>(r.redirect_hops),
       static_cast<unsigned long long>(r.diffs_created),
       static_cast<unsigned long long>(r.fault_ins),
       static_cast<unsigned long long>(r.grant_copies),
+      static_cast<unsigned long long>(r.lock_local_acquires),
+      static_cast<unsigned long long>(r.lock_recalls),
       static_cast<unsigned long long>(r.exclusive_home_writes));
   if (r.socket_writes > 0 || r.shm_msgs > 0) {
     std::printf(
