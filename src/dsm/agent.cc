@@ -1,5 +1,6 @@
 #include "src/dsm/agent.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -582,13 +583,9 @@ void Agent::OnDiffAck(proto::DiffAck msg) {
   HMDSM_CHECK_MSG(it != pending_acks_.end(), "stray diff ack");
   HMDSM_CHECK(it->second.remaining > 0);
   if (--it->second.remaining > 0) return;
-  if (it->second.then) {
-    std::function<void()> then = std::move(it->second.then);
-    pending_acks_.erase(it);
-    then();
-  } else if (!it->second.waiter.empty()) {
-    it->second.waiter.NotifyOne();
-  }
+  std::function<void()> then = std::move(it->second.then);
+  pending_acks_.erase(it);
+  then();
 }
 
 // ---------------------------------------------------------------------------
@@ -599,35 +596,34 @@ void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   recorder_.Bump(Ev::kLockAcquires);
   const NodeId manager = lock.manager();
   LockWait& lw = lock_waiters_[lock];
-  if (lw.token && !lw.busy) {
-    // The lock stayed here since its last release: take it without a
-    // message, but as an acquire all the same. What would have ridden the
-    // acquire to the manager goes standalone and is acknowledged, and the
-    // fence orders earlier releases elsewhere before a later recall.
+  // A lock that stayed here since its last release is taken without a
+  // message, but as an acquire all the same: what would have ridden the
+  // acquire to the manager goes standalone and is acknowledged, and the
+  // fence orders earlier releases elsewhere before a later recall.
+  const bool kept = lw.token && !lw.busy;
+  if (kept) {
     lw.busy = true;
     recorder_.Bump(Ev::kLockLocalAcquires);
-    FenceBefore(proc, manager);
-    FlushDirty(proc, kNoNode);
-    BumpInterval();
-    InvalidateCache(&lock);
-    return;
   }
   FenceBefore(proc, manager);
   // Acquiring is a synchronization point: dirty objects written outside
   // this lock's scope are flushed now (their diffs ride the acquire message
   // when homed at the manager). This is what makes an empty synchronized
   // block a flush point — the paper's synthetic benchmark depends on it.
-  auto piggy =
-      FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
-  const std::uint64_t mark = FenceMark(manager);
-  lw.sent_at.push_back(cache_changes_);
-  SendMsg(manager, MsgCat::kSync,
-          proto::Encode(proto::LockAcquireMsg{lock, std::move(piggy)}));
-  lw.waiters.Wait(proc);
-  FencedBy(manager, mark);
+  auto piggy = FlushDirty(
+      proc, kept || !config_.piggyback_diffs ? kNoNode : manager);
+  if (!kept) {
+    const std::uint64_t mark = FenceMark(manager);
+    lw.sent_at.push_back(cache_changes_);
+    SendMsg(manager, MsgCat::kSync,
+            proto::Encode(proto::LockAcquireMsg{lock, std::move(piggy)}));
+    lw.waiters.Wait(proc);
+    FencedBy(manager, mark);
+  }
   // Acquire semantics (Java memory model / LRC): start a fresh interval and
   // drop cached copies so writes flushed to homes become visible. The
   // copies the grant carried are already that fresh.
+  FlushWrittenMeanwhile(proc);
   BumpInterval();
   InvalidateCache(&lock);
 }
@@ -649,10 +645,8 @@ void Agent::Release(runtime::Exec& proc, LockId lock) {
   // Every diff owed elsewhere is acknowledged by now, so a kept lock whose
   // release publishes nothing at the manager stays here, unless it was
   // recalled or another thread of this node is waiting for the manager.
-  if (lw.token && piggy.empty() && !lw.recalled && lw.sent_at.empty())
-    return;
+  if (lw.token && piggy.empty() && lw.sent_at.empty()) return;
   lw.token = false;
-  lw.recalled = false;
   // Nothing acknowledges these diffs; the next sync through another
   // manager fences this one first.
   if (!piggy.empty()) ++fences_[manager].released;
@@ -670,10 +664,10 @@ void Agent::OnLockAcquire(NodeId src, proto::LockAcquireMsg msg) {
     SendGrant(msg.lock, src, /*handoff=*/false);
   } else {
     ls.queue.push_back(src);
-    if (ls.cached && !ls.recalled) {
+    if (ls.cached) {
       // The holder may be keeping the lock; it left with the grant, so the
-      // recall cannot overtake it.
-      ls.recalled = true;
+      // recall cannot overtake it. One recall is enough.
+      ls.cached = false;
       recorder_.Bump(Ev::kLockRecalls);
       SendMsg(ls.holder, MsgCat::kSync,
               proto::Encode(proto::LockRecallMsg{msg.lock}));
@@ -751,7 +745,6 @@ void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
     ls.guarded.insert(piggy.first);
   HMDSM_CHECK_MSG(ls.holder == src, "release from non-holder");
   ls.cached = false;
-  ls.recalled = false;
   if (ls.queue.empty()) {
     ls.holder = kNoNode;
   } else {
@@ -765,12 +758,9 @@ void Agent::OnLockRelease(NodeId src, proto::LockReleaseMsg msg) {
 void Agent::OnLockRecall(proto::LockRecallMsg msg) {
   LockWait& lw = lock_waiters_[msg.lock];
   if (!lw.token) return;  // already on its way back: the recall crossed it
-  if (lw.busy) {
-    lw.recalled = true;  // Release sends it back
-    return;
-  }
-  // Kept and idle: its last release already fenced and flushed.
   lw.token = false;
+  if (lw.busy) return;  // Release sends it back
+  // Kept and idle: its last release already fenced and flushed.
   SendMsg(msg.lock.manager(), MsgCat::kSync,
           proto::Encode(proto::LockReleaseMsg{msg.lock, {}}));
 }
@@ -834,6 +824,7 @@ void Agent::Barrier(runtime::Exec& proc, BarrierId barrier,
   barrier_waiters_[barrier].Wait(proc);
   FencedBy(manager, mark);
   // Departure has acquire semantics.
+  FlushWrittenMeanwhile(proc);
   BumpInterval();
   InvalidateCache();
 }
@@ -903,26 +894,49 @@ std::vector<std::pair<ObjectId, Bytes>> Agent::FlushDirty(
   }
 
   if (standalone > 0) {
-    // The release completes only once every standalone diff is applied (and
-    // acknowledged); otherwise the next lock holder could fault in a copy
-    // that misses these writes.
     ++next_ack_tag_;
     AckWait& aw = pending_acks_[tag];
-    aw.remaining += standalone;
-    if (aw.remaining > 0) aw.waiter.Wait(proc);
-    pending_acks_.erase(tag);
+    aw.remaining = standalone;
+    aw.then = [this, tag] {
+      flushes_in_flight_.erase(tag);
+      flush_landed_.NotifyAll();
+    };
+    flushes_in_flight_.insert(tag);
   }
+  // The release completes only once every standalone diff is applied (and
+  // acknowledged); otherwise the next lock holder could fault in a copy
+  // that misses these writes. Some of the caller's writes may have left in
+  // another thread's earlier flush, so that one must land too.
+  const std::uint64_t upto = next_ack_tag_;
+  while (!flushes_in_flight_.empty() && *flushes_in_flight_.begin() < upto)
+    flush_landed_.Wait(proc);
   return piggy;
 }
 
+void Agent::FlushWrittenMeanwhile(runtime::Exec& proc) {
+  // Other threads of this node may have written while the caller waited.
+  // Their copies hold their own bytes over an older base, so none may
+  // survive the invalidation; publishing those writes early is allowed.
+  // Each flush can wait for acks, and they may write again meanwhile.
+  while (std::ranges::any_of(cache_, [](const auto& kv) {
+    return kv.second.dirty;
+  }))
+    FlushDirty(proc, kNoNode);
+}
+
 void Agent::InvalidateCache(const LockId* acquired) {
-  // The caller flushed its own writes before it waited, so a dirty copy is
-  // another thread's on this node, written inside that thread's critical
-  // section since: it stays for that thread's release to diff.
+  bool keep = false;
+  for (auto& [obj, ce] : cache_) {
+    HMDSM_CHECK_MSG(!ce.dirty, "invalidating a dirty copy — missing flush");
+    keep |= acquired != nullptr && ce.granted == *acquired;
+  }
+  if (!keep) {
+    cache_.clear();
+    return;
+  }
   for (auto it = cache_.begin(); it != cache_.end();) {
-    CacheEntry& ce = it->second;
-    if (ce.dirty || (acquired != nullptr && ce.granted == *acquired)) {
-      ce.granted.reset();
+    if (it->second.granted == *acquired) {
+      it->second.granted.reset();
       ++it;
     } else {
       it = cache_.erase(it);

@@ -139,12 +139,11 @@ class Agent {
     // cache_changes_ as each of this node's outstanding requests for the
     // lock left, oldest first: the manager answers them in that order.
     std::deque<std::uint64_t> sent_at;
-    // This node holds the lock under a cacheable grant (it has not sent the
-    // lock back yet), a thread of this node is inside it, and the manager
-    // has recalled it while that thread was.
+    // token: this node holds the lock under a cacheable grant, has not
+    // sent it back, and no recall has reached it since. busy: a thread of
+    // this node is inside the lock.
     bool token = false;
     bool busy = false;
-    bool recalled = false;
   };
 
   struct PendingFetch {
@@ -170,10 +169,9 @@ class Agent {
     // every grant drops the ones no longer homed here, a handoff grant
     // carries the rest.
     std::unordered_set<ObjectId> guarded;
-    // The holder got a cacheable grant and may be keeping the lock; a
-    // recall has been sent for it. Any release clears both.
+    // The holder got a cacheable grant and may be keeping the lock, and no
+    // recall has been sent for it yet. Any release clears it.
     bool cached = false;
-    bool recalled = false;
   };
 
   /// Requester side, per remote manager: releases whose diffs rode to it
@@ -192,9 +190,9 @@ class Agent {
 
   struct AckWait {
     std::uint32_t remaining = 0;
-    runtime::WaitQueue waiter;
-    // Delivery-context continuation run on the last ack (a sync manager
-    // waiting for forwarded piggybacked diffs cannot block).
+    runtime::WaitQueue waiter;  // CreateObject, waiting for its init ack
+    // Delivery-context continuation run on the last diff ack (a sync
+    // manager waiting for forwarded piggybacked diffs cannot block).
     std::function<void()> then;
   };
 
@@ -305,9 +303,12 @@ class Agent {
   std::vector<std::pair<ObjectId, Bytes>> FlushDirty(runtime::Exec& proc,
                                                      NodeId sync_manager);
 
+  /// Flushes (standalone, acknowledged) whatever other threads of this node
+  /// wrote while the caller waited, until no dirty copy is left.
+  void FlushWrittenMeanwhile(runtime::Exec& proc);
+
   /// Acquire semantics: drop all non-home cached copies, except the copies
-  /// a grant of `acquired` (if any) just delivered and the ones another
-  /// thread of this node has dirtied since the caller flushed.
+  /// a grant of `acquired` (if any) just delivered.
   void InvalidateCache(const LockId* acquired = nullptr);
 
   /// Advances the synchronization-interval sequence (re-arms home traps).
@@ -372,6 +373,10 @@ class Agent {
   std::set<std::uint64_t> forwards_in_flight_;
   std::deque<std::pair<std::uint64_t, std::function<void()>>> after_forwards_;
   std::unordered_map<NodeId, FenceState> fences_;
+  // Requester side: ack tags of standalone-diff flushes still outstanding,
+  // and the callers waiting for the ones older than their own to land.
+  std::set<std::uint64_t> flushes_in_flight_;
+  runtime::WaitQueue flush_landed_;
   // Bumped whenever a cache entry takes new contents (fetch, flush, grant
   // copy): a grant's copies may be older than any such change made after
   // its request left, so they are installed only if there was none.

@@ -828,38 +828,43 @@ TEST(LockCache, RecallWhileIdleReturnsTheLockAtOnce) {
 }
 
 TEST(LockCache, StaleRecallIsIgnored) {
-  // Node 1 keeps the lock, then takes it again locally and releases it
-  // with a diff for the manager, which sends it back. Node 2's acquire
-  // came in between; its recall crawls over a slowed 0->1 link and lands
-  // after the lock left. Acting on it would send a second release.
+  // Thread X of node 1 keeps the lock. Node 2's acquire sends a recall
+  // that crawls over a slowed 0->1 link. Meanwhile X takes the lock again
+  // locally, thread Y of node 1 asks the manager for it, so X's release
+  // sends it back. The recall lands after that, while Y waits for its own
+  // grant behind it: acting on it would return a lock Y is about to hold.
   World w(3, Cfg("NoHM"));
   const ObjectId obj = ObjectId::Make(0, 0, 1);
   const LockId lock = LockId::Make(0, 1);
   w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
-  w.On(1, [&](sim::Process& p, Agent& a) {
+  w.On(1, [&](sim::Process& p, Agent& a) {  // X
     p.Delay(kStep);
     a.Acquire(p, lock);
     a.Release(p, lock);  // kept
     w.cluster.network().SetLinkDelay(0, 1, 10 * kStep);
     p.Delay(2 * kStep);
-    a.Acquire(p, lock);  // local
+    a.Acquire(p, lock);  // local: the recall is still on its way
+    p.Delay(kStep);      // Y asks meanwhile
+    a.Release(p, lock);  // Y waits: the lock goes back
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {  // Y
+    p.Delay(3 * kStep + kStep / 2);
+    a.Acquire(p, lock);
     a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
     a.Release(p, lock);  // the diff rides it: the lock goes back
   });
-  Byte got = 0;
   w.On(2, [&](sim::Process& p, Agent& a) {
     p.Delay(2 * kStep);
     a.Acquire(p, lock);
-    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
     a.Release(p, lock);
   });
   w.Run();
-  EXPECT_EQ(got, 0x11);
+  EXPECT_EQ(w.cluster.agent(0).PeekHomeData(obj)[0], 0x11);
   EXPECT_EQ(w.cluster.recorder(1).Count(Ev::kLockLocalAcquires), 1u);
   EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
-  // Node 1: acquire, grant, release. Node 2: acquire, recall, grant (a
-  // handoff of the now-guarded object: not cacheable), release.
-  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 4u);
+  // X: acquire, grant, release. Node 2: acquire, recall, grant (a handoff
+  // with Y queued: not cacheable), release. Y: acquire, grant, release.
+  EXPECT_EQ(w.rec().Cat(MsgCat::kSync).messages, 3u + 4u + 3u);
 }
 
 TEST(LockCache, TwoThreadsOnOneNodeShareTheLock) {
@@ -946,13 +951,13 @@ TEST(LockCache, LocalAcquireIsStillAFlushPoint) {
   EXPECT_EQ(at_home, 0x77);
 }
 
-TEST(LockCache, AcquireBehindAHeldHandoffSendsNoRecall) {
-  // Node 2 holds lock0 under a cacheable grant; node 3's acquire recalls
-  // it. Node 2's release piggybacks a diff that the manager must forward
-  // to the object's new home over a slowed link, so the handoff to node 3
-  // waits for the ack. Node 4 asks in that window: the release cleared
-  // the cached mark, so no second recall goes out (it would reach node 3
-  // ahead of its grant).
+TEST(LockCache, AcquireBehindAHeldGrantSendsNoRecall) {
+  // Node 2 holds lock0 under a cacheable grant and returns it unasked: its
+  // release piggybacks a diff that the manager must forward to the
+  // object's new home over a slowed link. Node 3's acquire then gets the
+  // lock, but its grant waits for the forward's ack. Node 4 asks in that
+  // window: the release cleared the cached mark, so no recall goes out (it
+  // would reach node 3 ahead of its grant).
   World w(5, Cfg("FT1"));
   const ObjectId obj = ObjectId::Make(0, 0, 1);
   const LockId lock0 = LockId::Make(0, 1);
@@ -974,7 +979,7 @@ TEST(LockCache, AcquireBehindAHeldHandoffSendsNoRecall) {
   Byte got[2] = {};
   for (NodeId n : {3, 4}) {
     w.On(n, [&, n](sim::Process& p, Agent& a) {
-      p.Delay(n == 3 ? 3 * kStep : 6 * kStep + 5 * kMs);
+      p.Delay(6 * kStep + (n == 3 ? 2 : 5) * kMs);
       a.Acquire(p, lock0);
       a.Read(p, obj, [&](ByteSpan b) { got[n - 3] = b[1]; });
       a.Release(p, lock0);
@@ -984,7 +989,7 @@ TEST(LockCache, AcquireBehindAHeldHandoffSendsNoRecall) {
   ASSERT_TRUE(w.cluster.agent(1).IsHome(obj));
   EXPECT_EQ(got[0], 0x22);
   EXPECT_EQ(got[1], 0x22);
-  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 1u);
+  EXPECT_EQ(w.rec().Count(Ev::kLockRecalls), 0u);
 }
 
 TEST(LockCache, LocalAcquireFencesLikeAMessageAcquire) {
@@ -1034,40 +1039,139 @@ TEST(LockCache, LocalAcquireFencesLikeAMessageAcquire) {
 // Defensive limits & misc
 // ---------------------------------------------------------------------------
 
-TEST(AgentEdge, AcquireKeepsAnotherThreadsDirtyCopy) {
+TEST(AgentEdge, AcquireFlushesAnotherThreadsDirtyCopy) {
   // Two threads of node 1. B writes the object (homed at node 3) inside
-  // lock2. A's acquire of lock0 flushes it, then waits for its grant over
-  // a slowed 0->1 link, while B writes the object again. A's invalidation
-  // must keep that dirty copy for B's release, not drop or trip on it.
+  // lock2. Node 2 writes another byte of it under lock0 and releases. A's
+  // acquire of lock0 flushes B's copy, then waits for its grant over a
+  // slowed 0->1 link, while B writes the object again. That copy holds B's
+  // bytes over a base older than node 2's write: A must flush it rather
+  // than keep it, and read node 2's byte. The ack of that flush crawls over
+  // a slowed 3->1 link while B writes a third time, so A flushes again.
   World w(4, Cfg("NoHM"));
   const ObjectId obj = ObjectId::Make(3, 3, 1);
   const LockId lock0 = LockId::Make(0, 1);
   const LockId lock2 = LockId::Make(2, 2);
   constexpr sim::Time kMs = sim::kMillisecond;
   w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
-  Bytes seen;
+  Bytes seen_a;
+  Bytes seen_b;
   w.On(1, [&](sim::Process& p, Agent& a) {  // B
     p.Delay(kStep);
     a.Acquire(p, lock2);
     a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
     p.Delay(2 * kMs);  // A flushes and waits meanwhile
     a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
-    p.Delay(10 * kMs);  // A's grant lands meanwhile
-    a.Read(p, obj, [&](ByteSpan b) { seen = ToBytes(b); });
+    w.cluster.network().SetLinkDelay(3, 1, 5 * kMs);
+    p.Delay(6 * kMs);  // A's grant lands, A flushes and waits meanwhile
+    a.Write(p, obj, [](MutByteSpan b) { b[2] = 0x33; });
+    p.Delay(10 * kMs);
+    a.Read(p, obj, [&](ByteSpan b) { seen_b = ToBytes(b); });
     a.Release(p, lock2);
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Acquire(p, lock0);
+    a.Write(p, obj, [](MutByteSpan b) { b[5] = 0x55; });
+    a.Release(p, lock0);
   });
   w.On(1, [&](sim::Process& p, Agent& a) {  // A
     p.Delay(kStep + kMs);
     w.cluster.network().SetLinkDelay(0, 1, 5 * kMs);
     a.Acquire(p, lock0);
+    a.Read(p, obj, [&](ByteSpan b) { seen_a = ToBytes(b); });
     a.Release(p, lock0);
   });
   w.Run();
-  ASSERT_EQ(seen.size(), 8u);
-  EXPECT_EQ(seen[0], 0x11);
-  EXPECT_EQ(seen[1], 0x22);
-  EXPECT_EQ(w.cluster.agent(3).PeekHomeData(obj)[0], 0x11);
+  ASSERT_EQ(seen_a.size(), 8u);
+  EXPECT_EQ(seen_a[5], 0x55);
+  EXPECT_EQ(seen_a[1], 0x22);
+  EXPECT_EQ(seen_a[2], 0x33);
+  ASSERT_EQ(seen_b.size(), 8u);
+  EXPECT_EQ(seen_b[0], 0x11);
+  EXPECT_EQ(seen_b[1], 0x22);
+  EXPECT_EQ(seen_b[2], 0x33);
+  EXPECT_EQ(seen_b[5], 0x55);
+  const Bytes home = ToBytes(w.cluster.agent(3).PeekHomeData(obj));
+  EXPECT_EQ(home[0], 0x11);
+  EXPECT_EQ(home[1], 0x22);
+  EXPECT_EQ(home[2], 0x33);
+  EXPECT_EQ(home[5], 0x55);
+}
+
+TEST(AgentEdge, BarrierFlushesAnotherThreadsDirtyCopy) {
+  // As above, with a barrier: node 2 writes a byte of the object (homed at
+  // node 3) before it arrives, while thread B of node 1 writes the object
+  // inside a lock as thread A of node 1 waits at the barrier. A's departure
+  // must flush B's copy rather than keep it, and read node 2's byte.
+  World w(4, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  const BarrierId barrier = BarrierId::Make(0, 1);
+  constexpr sim::Time kMs = sim::kMillisecond;
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  Bytes seen_a;
+  w.On(1, [&](sim::Process& p, Agent& a) {  // B
+    p.Delay(kStep);
+    a.Acquire(p, lock2);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kMs);  // A flushes and waits meanwhile
+    a.Write(p, obj, [](MutByteSpan b) { b[1] = 0x22; });
+    p.Delay(10 * kMs);  // node 2 arrives meanwhile
+    a.Release(p, lock2);
+  });
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep);
+    a.Write(p, obj, [](MutByteSpan b) { b[5] = 0x55; });
+    p.Delay(5 * kMs);
+    a.Barrier(p, barrier, 2);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {  // A
+    p.Delay(kStep + kMs);
+    a.Barrier(p, barrier, 2);
+    a.Read(p, obj, [&](ByteSpan b) { seen_a = ToBytes(b); });
+  });
+  w.Run();
+  ASSERT_EQ(seen_a.size(), 8u);
+  EXPECT_EQ(seen_a[0], 0x11);
+  EXPECT_EQ(seen_a[1], 0x22);
+  EXPECT_EQ(seen_a[5], 0x55);
   EXPECT_EQ(w.cluster.agent(3).PeekHomeData(obj)[1], 0x22);
+}
+
+TEST(AgentEdge, ReleaseWaitsForItsWritesAnotherThreadFlushed) {
+  // Thread B of node 1 writes the object (homed at node 3) under lock0.
+  // Thread A of node 1 acquires lock2 meanwhile, which flushes B's copy
+  // over a slowed 1->3 link. B's release then finds nothing dirty, but its
+  // write is still on the way: the release must wait for it, or node 2,
+  // which takes lock0 next, reads the old byte.
+  World w(4, Cfg("NoHM"));
+  const ObjectId obj = ObjectId::Make(3, 3, 1);
+  const LockId lock0 = LockId::Make(0, 1);
+  const LockId lock2 = LockId::Make(2, 2);
+  constexpr sim::Time kMs = sim::kMillisecond;
+  w.On(3, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Bytes(8, 0)); });
+  w.On(1, [&](sim::Process& p, Agent& a) {  // B
+    p.Delay(kStep);
+    a.Acquire(p, lock0);
+    a.Write(p, obj, [](MutByteSpan b) { b[0] = 0x11; });
+    p.Delay(2 * kMs);  // A flushes the write meanwhile
+    a.Release(p, lock0);
+  });
+  w.On(1, [&](sim::Process& p, Agent& a) {  // A
+    p.Delay(kStep + kMs);
+    w.cluster.network().SetLinkDelay(1, 3, 10 * kMs);
+    a.Acquire(p, lock2);
+    a.Release(p, lock2);
+  });
+  Byte got = 0;
+  w.On(2, [&](sim::Process& p, Agent& a) {
+    p.Delay(kStep + 4 * kMs);
+    a.Acquire(p, lock0);
+    a.Read(p, obj, [&](ByteSpan b) { got = b[0]; });
+    a.Release(p, lock0);
+  });
+  w.Run();
+  EXPECT_EQ(got, 0x11);
 }
 
 TEST(AgentEdge, RedirectHopGuardFailsLoudly) {
