@@ -274,35 +274,33 @@ void Agent::ServeAtHome(NodeId requester, const proto::ObjRequest& msg) {
   if (!migrate) rec.Bump(Ev::kMigRejections);
   // The audit record captures the exact state ShouldMigrate saw, so it is
   // built here — before RecordRequester/OnMigrated mutate the counters.
-  if (config_.audit) {
-    const double threshold =
-        policy_->LiveThreshold(entry.pol, entry.data.size());
-    stats::Decision d;
-    d.obj = msg.obj.value;
-    d.epoch = entry.pol.epoch;
-    d.home = node_;
-    d.requester = requester;
-    d.consecutive_writes = entry.pol.consecutive_remote_writes;
-    d.consecutive_writer = entry.pol.consecutive_writer;
-    d.redirects = entry.pol.redirected_requests;
-    d.exclusive_home_writes = entry.pol.exclusive_home_writes;
-    d.piggyback_switches = entry.pol.piggyback_switches;
-    d.threshold = threshold;
-    d.object_bytes = entry.data.size();
-    d.for_write = msg.for_write;
-    d.migrate = migrate;
-    d.destination = migrate ? requester : node_;
-    d.at_ns = net_.Now();
-    rec.RecordDecision(d);
-    // Trace value: live threshold ×1000, negated for "stay" verdicts
-    // (clamped — NoHM reports an infinite threshold).
-    const std::int64_t scaled =
-        std::isfinite(threshold)
-            ? static_cast<std::int64_t>(threshold * 1000)
-            : std::numeric_limits<std::int64_t>::max();
-    Emit(trace::What::kDecision, msg.obj.value, requester,
-         migrate ? scaled : -scaled);
-  }
+  const double threshold =
+      policy_->LiveThreshold(entry.pol, entry.data.size());
+  stats::Decision d;
+  d.obj = msg.obj.value;
+  d.epoch = entry.pol.epoch;
+  d.home = node_;
+  d.requester = requester;
+  d.consecutive_writes = entry.pol.consecutive_remote_writes;
+  d.consecutive_writer = entry.pol.consecutive_writer;
+  d.redirects = entry.pol.redirected_requests;
+  d.exclusive_home_writes = entry.pol.exclusive_home_writes;
+  d.piggyback_switches = entry.pol.piggyback_switches;
+  d.threshold = threshold;
+  d.object_bytes = entry.data.size();
+  d.for_write = msg.for_write;
+  d.migrate = migrate;
+  d.destination = migrate ? requester : node_;
+  d.at_ns = net_.Now();
+  rec.RecordDecision(d);
+  // Trace value: live threshold ×1000, negated for "stay" verdicts
+  // (clamped — NoHM reports an infinite threshold).
+  const std::int64_t scaled =
+      std::isfinite(threshold)
+          ? static_cast<std::int64_t>(threshold * 1000)
+          : std::numeric_limits<std::int64_t>::max();
+  Emit(trace::What::kDecision, msg.obj.value, requester,
+       migrate ? scaled : -scaled);
   // Sharing bookkeeping happens after the decision: "was the requester the
   // sole sharer so far" must not include the request being decided.
   entry.pol.RecordRequester(requester);
@@ -610,8 +608,7 @@ void Agent::Acquire(runtime::Exec& proc, LockId lock) {
   // this lock's scope are flushed now (their diffs ride the acquire message
   // when homed at the manager). This is what makes an empty synchronized
   // block a flush point — the paper's synthetic benchmark depends on it.
-  auto piggy = FlushDirty(
-      proc, kept || !config_.piggyback_diffs ? kNoNode : manager);
+  auto piggy = FlushDirty(proc, kept ? kNoNode : manager);
   if (!kept) {
     const std::uint64_t mark = FenceMark(manager);
     lw.sent_at.push_back(cache_changes_);
@@ -637,8 +634,7 @@ void Agent::MarkPhase() {
 void Agent::Release(runtime::Exec& proc, LockId lock) {
   const NodeId manager = lock.manager();
   FenceBefore(proc, manager);
-  auto piggy =
-      FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
+  auto piggy = FlushDirty(proc, manager);
   BumpInterval();
   LockWait& lw = lock_waiters_[lock];
   lw.busy = false;
@@ -814,8 +810,7 @@ void Agent::Barrier(runtime::Exec& proc, BarrierId barrier,
   recorder_.Bump(Ev::kBarrierWaits);
   const NodeId manager = barrier.manager();
   FenceBefore(proc, manager);
-  auto piggy =
-      FlushDirty(proc, config_.piggyback_diffs ? manager : kNoNode);
+  auto piggy = FlushDirty(proc, manager);
   BumpInterval();
   const std::uint64_t mark = FenceMark(manager);
   SendMsg(manager, MsgCat::kSync,

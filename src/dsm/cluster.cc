@@ -17,8 +17,7 @@ ClusterOptions Finalize(ClusterOptions options) {
 
 Cluster::Cluster(ClusterOptions options)
     : options_(Finalize(std::move(options))),
-      network_(kernel_, options_.model, options_.nodes,
-               options_.model_tx_occupancy) {
+      network_(kernel_, options_.model, options_.nodes) {
   agents_.reserve(options_.nodes);
   for (NodeId n = 0; n < options_.nodes; ++n) {
     agents_.push_back(

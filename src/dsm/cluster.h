@@ -17,8 +17,6 @@ struct ClusterOptions {
   std::size_t nodes = 8;
   net::HockneyModel model{70.0, 12.5};
   DsmConfig dsm;
-  /// Model NIC transmit serialization (see net::Network::Send).
-  bool model_tx_occupancy = true;
 };
 
 /// A simulated cluster running the home-based DSM on every node.

@@ -44,10 +44,6 @@ struct DsmConfig {
   /// defaults off; see bench/ablation_compression.
   bool compress_chains = false;
 
-  /// Piggyback diffs on release/barrier messages when the dirty object's
-  /// home is the sync manager node (paper Section 5.2).
-  bool piggyback_diffs = true;
-
   /// Write-through mode: emulates the sequential-consistency-style
   /// protocols the paper's introduction contrasts LRC against [Li & Hudak].
   /// Every non-home write is flushed to the home immediately (and
@@ -58,13 +54,6 @@ struct DsmConfig {
 
   /// Guard against unbounded redirect chains (indicates a protocol bug).
   std::uint32_t max_redirect_hops = 4096;
-
-  /// Decision-audit instrumentation: record every migration-policy
-  /// consultation into the per-rank decision ledger (and let the backends
-  /// run their time-series samplers). Cheap — a bounded ring append per
-  /// served request — but `--audit=0` turns it off for clean-room
-  /// throughput comparisons.
-  bool audit = true;
 };
 
 inline std::string NotifyMechanismName(NotifyMechanism m) {

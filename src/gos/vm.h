@@ -180,7 +180,6 @@ struct VmOptions {
   NodeId start_node = 0;  // where the "application" (main thread) runs
   net::HockneyModel model{70.0, 12.5};
   dsm::DsmConfig dsm;
-  bool model_tx_occupancy = true;  // NIC transmit serialization (sim only)
   /// Which execution backend the Vm builds (and RunScenario dispatches on).
   Backend backend = Backend::kSim;
   /// Threads backend only: hold every delivery until its Hockney deadline —
@@ -223,10 +222,6 @@ struct VmOptions {
     bool shm = true;
   };
   SocketsConfig sockets;
-  /// Latency histograms (fault-in RTT, mailbox dwell, socket-write syscall,
-  /// migration→first-access). On by default; off removes every per-packet
-  /// clock read the instrumentation costs (throughput baselines).
-  bool histograms = true;
   /// Non-empty: write a Chrome trace-event / Perfetto JSON protocol trace
   /// here at teardown. On the sockets backend each rank writes
   /// `<path>.rank<R>` and the self-fork launcher (or the operator) merges
@@ -315,9 +310,9 @@ struct RunReport {
   /// Threads backend, latency injection only: deliveries that overshot
   /// their own deadline behind a head-of-line sleep (runtime/channel.h).
   std::uint64_t hol_inherited = 0;
-  /// Latency histograms (empty when VmOptions::histograms is off). RTT is
-  /// the fault-in request→reply round trip bucketed by the reply category
-  /// (kObj plain, kMig home-migrating; redirect hops included in the trip).
+  /// Latency histograms. RTT is the fault-in request→reply round trip
+  /// bucketed by the reply category (kObj plain, kMig home-migrating;
+  /// redirect hops included in the trip).
   HistSummary rtt[stats::kNumMsgCats] = {};
   HistSummary mailbox_dwell;
   HistSummary socket_write_ns;
@@ -326,9 +321,9 @@ struct RunReport {
   /// node (ROADMAP's "how fast does the protocol re-home" metric).
   HistSummary adaptation;
   /// Decision audit trail and windowed counter deltas (cluster-merged on
-  /// the reporting rank; empty when DsmConfig::audit is off / no sampler
-  /// ran). Carried whole — not summarized — so callers can dump, export,
-  /// or re-aggregate them.
+  /// the reporting rank; the series is empty when no sampler ran). Carried
+  /// whole — not summarized — so callers can dump, export, or re-aggregate
+  /// them.
   stats::DecisionLedger ledger;
   stats::Timeseries series;
   /// Mesh health at report time (sockets backend, lead rank only): one

@@ -59,8 +59,7 @@ class SimBackend final : public VmBackend {
       : vm_(vm),
         options_(options),
         cluster_(dsm::ClusterOptions{options.nodes, options.model,
-                                     options.dsm,
-                                     options.model_tx_occupancy}) {
+                                     options.dsm}) {
     if (!options_.trace_out.empty()) cluster_.trace().Enable();
   }
 
@@ -81,8 +80,7 @@ class SimBackend final : public VmBackend {
 
   void Run(ThreadBody main) override {
     Spawn(options_.start_node, std::move(main), "main");
-    if (options_.poll_interval_s > 0 && options_.dsm.audit)
-      ScheduleSampleTick();
+    if (options_.poll_interval_s > 0) ScheduleSampleTick();
     cluster_.kernel().Run();
   }
 

@@ -111,7 +111,6 @@ netio::SocketTransportOptions ToSocketOptions(const VmOptions& o) {
   s.io_threads = o.sockets.io_threads;
   s.listen_fd = o.sockets.listen_fd;
   s.heartbeat_interval_ms = o.sockets.heartbeat_interval_ms;
-  s.measure_latency = o.histograms;
   s.shm = o.sockets.shm;
   return s;
 }

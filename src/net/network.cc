@@ -22,19 +22,12 @@ void Network::Send(NodeId src, NodeId dst, stats::MsgCat cat, Buf payload) {
   recorders_[src].RecordMessage(cat, wire_bytes);
   recorders_[src].RecordSent(src, wire_bytes);
   ++packets_sent_;
-  sim::Time arrival;
-  if (model_tx_occupancy_) {
-    // The transmit term m/r∞ occupies the sender NIC; the startup term t0
-    // pipelines. An isolated message still arrives at now + t0 + m/r∞.
-    const sim::Time now = kernel_.now();
-    const sim::Time occupancy =
-        model_.Latency(wire_bytes) - model_.Latency(0);
-    const sim::Time tx_start = std::max(now, tx_free_[src]);
-    tx_free_[src] = tx_start + occupancy;
-    arrival = tx_free_[src] + model_.Latency(0);
-  } else {
-    arrival = kernel_.now() + model_.Latency(wire_bytes);
-  }
+  // The transmit term m/r∞ occupies the sender NIC; the startup term t0
+  // pipelines. An isolated message still arrives at now + t0 + m/r∞.
+  const sim::Time occupancy = model_.Latency(wire_bytes) - model_.Latency(0);
+  const sim::Time tx_start = std::max(kernel_.now(), tx_free_[src]);
+  tx_free_[src] = tx_start + occupancy;
+  sim::Time arrival = tx_free_[src] + model_.Latency(0);
   if (!link_delay_.empty())
     arrival += link_delay_[src * handlers_.size() + dst];
   kernel_.ScheduleAt(

@@ -20,14 +20,12 @@ namespace hmdsm::net {
 /// The simulated network fabric. One instance per cluster.
 class Network final : public Transport {
  public:
-  Network(sim::Kernel& kernel, HockneyModel model, std::size_t node_count,
-          bool model_tx_occupancy = true)
+  Network(sim::Kernel& kernel, HockneyModel model, std::size_t node_count)
       : kernel_(kernel),
         model_(model),
         handlers_(node_count),
         recorders_(node_count),
-        tx_free_(node_count, 0),
-        model_tx_occupancy_(model_tx_occupancy) {
+        tx_free_(node_count, 0) {
     for (stats::Recorder& r : recorders_) r.SetNodeCount(node_count);
   }
 
@@ -78,7 +76,6 @@ class Network final : public Transport {
   std::deque<stats::Recorder> recorders_;  // per node; deque: stable refs
   std::vector<sim::Time> tx_free_;  // per-node NIC transmit availability
   std::vector<sim::Time> link_delay_;  // [src * nodes + dst]; empty = none
-  bool model_tx_occupancy_;
   std::uint64_t packets_sent_ = 0;
 };
 

@@ -631,7 +631,7 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     enqueued_.fetch_add(1, std::memory_order_acq_rel);
     net::Packet packet{data.src, data.dst, data.cat,
                        std::move(data.payload)};
-    if (options_.measure_latency) packet.enqueued_at = Now();
+    packet.enqueued_at = Now();
     mailboxes_[data.dst - options_.rank].Push(std::move(packet));
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
@@ -796,7 +796,7 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
       off = 0;
       ++cnt;
     }
-    const sim::Time write_start = options_.measure_latency ? Now() : 0;
+    const sim::Time write_start = Now();
     const ssize_t w = ::writev(peer.fd.get(), iov, cnt);
     if (w < 0) {
       if (errno == EINTR) continue;
@@ -826,8 +826,8 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
                    std::string("write error: ") + std::strerror(errno));
       return;
     }
-    if (options_.measure_latency) {
-      const sim::Time took = Now() - write_start;
+    const sim::Time took = Now() - write_start;
+    {
       std::lock_guard lock(write_lat_mu_);
       write_latency_.Record(static_cast<std::uint64_t>(took > 0 ? took : 0));
     }
@@ -991,7 +991,7 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
     // transports.
     enqueued_.fetch_add(1, std::memory_order_acq_rel);
     net::Packet packet{src, dst, cat, std::move(payload)};
-    if (options_.measure_latency) packet.enqueued_at = Now();
+    packet.enqueued_at = Now();
     mailboxes_[dst - options_.rank].Push(std::move(packet));
     return;
   }

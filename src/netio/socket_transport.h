@@ -119,11 +119,6 @@ struct SocketTransportOptions {
   int connect_timeout_ms = 30000;
   /// Frames above this are a protocol violation (checked pre-allocation).
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Latency histograms: stamp packets entering the local mailboxes
-  /// (dwell) and time each wire writev(2) (syscall latency). The cost is
-  /// one clock read per packet / two per write; off leaves the hot path
-  /// untouched.
-  bool measure_latency = true;
   /// Link-liveness heartbeat period. Each reactor thread arms a periodic
   /// timerfd and probes every peer process it owns with a Heartbeat frame;
   /// the ack feeds that link's RTT histogram and last-heard clock. 0

@@ -17,7 +17,6 @@ Runtime::Runtime(RuntimeOptions options)
     owned_transport_->EnableLatencyInjection(options_.model,
                                              options_.inject_latency_scale);
   }
-  if (options_.measure_dwell) owned_transport_->EnableDwellMeasurement();
   local_nodes_.reserve(options_.nodes);
   for (dsm::NodeId n = 0; n < options_.nodes; ++n) local_nodes_.push_back(n);
   Init();
@@ -148,7 +147,6 @@ stats::Recorder Runtime::Totals() const {
 }
 
 bool Runtime::SampleTimeseries() {
-  if (!options_.dsm.audit) return false;  // --audit=0 opts the sampler out
   bool moved = false;
   const sim::Time now = transport_.Now();
   for (dsm::NodeId n : local_nodes_) {

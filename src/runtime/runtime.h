@@ -47,10 +47,6 @@ struct RuntimeOptions {
   /// Event sink shared by every hosted agent (nullptr: tracing off). The
   /// caller owns it and must keep it alive for the Runtime's lifetime.
   trace::Trace* trace = nullptr;
-  /// In-process mode: enable the mailbox enqueue→dispatch dwell histogram
-  /// (one clock read per packet on the send path when on). The sockets
-  /// backend has its own knob (SocketTransportOptions::measure_latency).
-  bool measure_dwell = false;
 };
 
 class Guest;

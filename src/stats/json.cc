@@ -5,7 +5,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/util/json.h"
+
 namespace hmdsm::stats {
+namespace {
 
 void WriteDecisionJson(JsonWriter& jw, const Decision& d) {
   jw.BeginObject();
@@ -41,34 +44,7 @@ void WriteLedgerJson(JsonWriter& jw, const DecisionLedger& ledger) {
   jw.EndObject();
 }
 
-void WriteSampleJson(JsonWriter& jw, const Sample& s) {
-  jw.BeginObject();
-  jw.Key("node").Uint(s.node);
-  jw.Key("at_ns").Int(s.at_ns);
-  jw.Key("dt_ns").Int(s.dt_ns);
-  jw.Key("msgs").Uint(s.msgs);
-  jw.Key("bytes").Uint(s.bytes);
-  jw.Key("faults").Uint(s.faults);
-  jw.Key("migrations").Uint(s.migrations);
-  const double dt_s = static_cast<double>(s.dt_ns) * 1e-9;
-  if (dt_s > 0) {
-    jw.Key("msgs_per_s").Double(static_cast<double>(s.msgs) / dt_s);
-    jw.Key("faults_per_s").Double(static_cast<double>(s.faults) / dt_s);
-    jw.Key("migrations_per_s")
-        .Double(static_cast<double>(s.migrations) / dt_s);
-  }
-  jw.Key("sends").BeginObject();
-  for (std::size_t c = 0; c < kNumMsgCats; ++c)
-    jw.Key(MsgCatName(static_cast<MsgCat>(c))).Uint(s.cat_msgs[c]);
-  jw.EndObject();
-  jw.EndObject();
-}
-
-void WriteTimeseriesJson(JsonWriter& jw, const Timeseries& series) {
-  jw.BeginArray();
-  for (const Sample& s : series.samples()) WriteSampleJson(jw, s);
-  jw.EndArray();
-}
+}  // namespace
 
 bool WriteAuditFile(const std::string& path, const DecisionLedger& ledger) {
   const std::filesystem::path parent =

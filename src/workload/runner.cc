@@ -1,6 +1,7 @@
 #include "src/workload/runner.h"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -66,7 +67,17 @@ ScenarioResult RunScenario(const gos::VmOptions& vm_options,
           },
           spec.name.empty() ? "w" + std::to_string(w) : spec.name));
     }
-    for (gos::Thread* t : threads) vm.Join(env, t);
+    // Join every worker before rethrowing the first failure: the others
+    // still read `bindings`, which dies with this frame.
+    std::exception_ptr error;
+    for (gos::Thread* t : threads) {
+      try {
+        vm.Join(env, t);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     // Settle in-flight traffic (final releases' piggybacked diffs,
     // notification broadcasts) before reporting and digesting, so the
     // final-contents digest is backend-independent.

@@ -386,13 +386,16 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksInTwoProcesses) {
 }
 
 /// Ships the checksum plus the shm counter so the lead test process can see
-/// whether the rings actually carried data cluster-wide.
+/// whether the rings actually carried data cluster-wide, and the sample
+/// counts of the mailbox-dwell and socket-write histograms.
 Bytes PackHotPathResult(std::uint64_t answer, const gos::RunReport& report) {
   Writer w;
   w.u64(answer);
   w.u64(report.sent_messages);
   w.u64(report.received_messages);
   w.u64(report.shm_msgs);
+  w.u64(report.mailbox_dwell.count);
+  w.u64(report.socket_write_ns.count);
   return w.take();
 }
 
@@ -441,6 +444,8 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
   const std::uint64_t sent_messages = reader.u64();
   EXPECT_EQ(sent_messages, reader.u64());
   EXPECT_EQ(reader.u64(), 0u) << "shm was off";
+  EXPECT_GT(reader.u64(), 0u) << "every delivered packet is dwell-stamped";
+  EXPECT_GT(reader.u64(), 0u) << "every wire write is timed";
 }
 
 TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {

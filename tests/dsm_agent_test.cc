@@ -144,24 +144,6 @@ TEST(Agent, DiffPiggybacksWhenHomeIsLockManager) {
   EXPECT_EQ(w.rec().Count(Ev::kPiggybackedDiffs), 1u);
 }
 
-TEST(Agent, PiggybackDisabledSendsStandaloneDiff) {
-  DsmConfig cfg = Cfg("NoHM");
-  cfg.piggyback_diffs = false;
-  World w(2, std::move(cfg));
-  const ObjectId obj = ObjectId::Make(0, 0, 1);
-  const LockId lock = LockId::Make(0, 1);
-  w.On(0, [&](sim::Process& p, Agent& a) { a.CreateObject(p, obj, Val(1)); });
-  w.On(1, [&](sim::Process& p, Agent& a) {
-    p.Delay(kSettle);
-    a.Acquire(p, lock);
-    a.Write(p, obj, [&](MutByteSpan b) { b[0] = 78; });
-    a.Release(p, lock);
-  });
-  w.Run();
-  EXPECT_EQ(w.rec().Cat(MsgCat::kDiff).messages, 2u);  // diff + ack
-  EXPECT_EQ(w.rec().Count(Ev::kPiggybackedDiffs), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Consistency: invalidate-on-acquire, lock mutual exclusion
 // ---------------------------------------------------------------------------

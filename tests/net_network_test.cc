@@ -125,21 +125,6 @@ TEST(Network, BackToBackSendsSerializeOnTheSenderNic) {
   EXPECT_EQ(arrivals[2], t0 + 2 * occupancy);
 }
 
-TEST(Network, OccupancyModelCanBeDisabled) {
-  sim::Kernel kernel;
-  Network net(kernel, HockneyModel(100.0, 10.0), 3,
-              /*model_tx_occupancy=*/false);
-  std::vector<sim::Time> arrivals(3, -1);
-  for (NodeId n = 1; n < 3; ++n)
-    net.SetHandler(n, [&, n](Packet&&) { arrivals[n] = kernel.now(); });
-  kernel.ScheduleAt(0, [&] {
-    net.Send(0, 1, MsgCat::kObj, Bytes(1000 - Network::kHeaderBytes));
-    net.Send(0, 2, MsgCat::kObj, Bytes(1000 - Network::kHeaderBytes));
-  });
-  kernel.Run();
-  EXPECT_EQ(arrivals[1], arrivals[2]);  // pure Hockney: no serialization
-}
-
 TEST(Network, FifoBetweenSamePairSameSize) {
   // Two equal-size messages sent back-to-back arrive in send order (equal
   // latency, sequence tie-break preserves FIFO).

@@ -212,5 +212,40 @@ TEST(SyncLocality, LockHandoffsCarryTheHotObjects) {
   }
 }
 
+// Every packet is stamped on its way into a mailbox, so a threads run
+// reports the enqueue→dispatch dwell that the repo benchmark reads.
+TEST(RunScenario, ThreadsRunReportsMailboxDwell) {
+  gos::VmOptions vm;
+  vm.nodes = 4;
+  vm.backend = gos::Backend::kThreads;
+  const ScenarioResult r =
+      RunScenario(vm, GeneratePattern(SmallParams("migratory")));
+  EXPECT_GT(r.report.mailbox_dwell.count, 0u);
+}
+
+// A failing worker must not free the lock bindings under the others: the
+// run joins every worker first, then rethrows the first failure.
+TEST(RunScenario, WorkerFailureJoinsTheOthersBeforeRethrowing) {
+  Scenario s;
+  s.name = "one_worker_throws";
+  s.nodes = 2;
+  s.objects = {ObjectSpec{64, 0}};
+  s.lock_managers = {0};
+  // The threads backend rejects a negative delay, so worker 0 throws at
+  // once; worker 1 goes on acquiring its lock well after that.
+  s.workers.push_back({0, "thrower", {{OpKind::kDelay, 0, ~0ull}}});
+  WorkerSpec survivor{1, "survivor", {{OpKind::kDelay, 0, 50'000'000}}};
+  for (int i = 0; i < 50; ++i) {
+    survivor.program.push_back({OpKind::kAcquire, 0, 0});
+    survivor.program.push_back({OpKind::kWrite, 0, 8});
+    survivor.program.push_back({OpKind::kRelease, 0, 0});
+  }
+  s.workers.push_back(survivor);
+  gos::VmOptions vm;
+  vm.nodes = s.nodes;
+  vm.backend = gos::Backend::kThreads;
+  EXPECT_THROW(RunScenario(vm, s), std::exception);
+}
+
 }  // namespace
 }  // namespace hmdsm::workload

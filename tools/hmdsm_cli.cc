@@ -19,7 +19,7 @@
 //
 // Protocol knobs: --policy=NoHM|FT<k>|AT|MH|BR|LF
 //                 --notify=fp|manager|broadcast
-//                 --piggyback=0|1  --lambda=<float>  --tinit=<float>
+//                 --lambda=<float>  --tinit=<float>
 //                 --t0-us=<float>  --bandwidth-mbps=<float>  --seed=<int>
 // Execution:      --backend=sim|threads|sockets
 //                 threads: every app on real OS threads with a wall clock
@@ -62,7 +62,7 @@ int Usage(const char* error) {
       stderr,
       "usage: hmdsm_cli --app=asp|sor|nbody|tsp|synthetic|scenario [options]\n"
       "  common:    --policy=NoHM|FT<k>|AT|MH|BR|LF --nodes=N --seed=N\n"
-      "             --notify=fp|manager|broadcast --piggyback=0|1\n"
+      "             --notify=fp|manager|broadcast\n"
       "             --lambda=F --tinit=F --t0-us=F --bandwidth-mbps=F\n"
       "             --backend=sim|threads|sockets\n"
       "               threads: every app on real OS threads + wall clock\n"
@@ -90,10 +90,8 @@ int Usage(const char* error) {
       "               (sockets only; default 250, 0 disables heartbeats)\n"
       "             --shm=0|1          shared-memory rings between same-host\n"
       "               processes for data frames (sockets only; default on)\n"
-      "             --audit=0|1        migration decision ledger (default on)\n"
       "             --audit-out=FILE   dump the cluster-merged decision\n"
       "               ledger as JSON (reporting rank)\n"
-      "             --histograms=0|1   latency histograms (default on)\n"
       "  asp/sor:   --size=N   (sor: --iterations=N)\n"
       "  nbody:     --bodies=N --steps=N\n"
       "  tsp:       --cities=N\n"
@@ -367,7 +365,6 @@ int main(int argc, char** argv) {
   vm.dsm.policy = flags.Get("policy", "AT");
   vm.model = net::HockneyModel(flags.GetDouble("t0-us", 70.0),
                                flags.GetDouble("bandwidth-mbps", 12.5));
-  vm.dsm.piggyback_diffs = flags.GetBool("piggyback", true);
   vm.dsm.adaptive.feedback_coefficient = flags.GetDouble("lambda", 1.0);
   vm.dsm.adaptive.initial_threshold = flags.GetDouble("tinit", 1.0);
   const std::string notify = flags.Get("notify", "fp");
@@ -402,9 +399,7 @@ int main(int argc, char** argv) {
   if (vm.sockets.io_threads < 1) return Usage("--io-threads must be >= 1");
   vm.inject_latency = flags.GetBool("inject-latency", false);
   vm.inject_scale = flags.GetDouble("inject-scale", 1.0);
-  vm.histograms = flags.GetBool("histograms", true);
   vm.trace_out = flags.Get("trace-out");
-  vm.dsm.audit = flags.GetBool("audit", true);
   vm.audit_out = flags.Get("audit-out");
   vm.poll_interval_s = flags.GetDouble("poll-interval", 0.0);
   // Sub-second sampling is fine, but a pathological interval (microseconds)
