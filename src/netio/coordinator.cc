@@ -1,5 +1,6 @@
 #include "src/netio/coordinator.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -388,6 +389,7 @@ void Coordinator::GlobalQuiesce() {
   // and that is exactly the granularity quiescence needs.
   const std::size_t others = transport_.process_count() - 1;
   std::vector<QuiesceReplyFrame> previous;
+  auto pause = std::chrono::microseconds(25);
   for (;;) {
     runtime_.AwaitQuiescence();  // local first: cheap and usually sufficient
     std::vector<QuiesceReplyFrame> round(transport_.node_count());
@@ -423,8 +425,14 @@ void Coordinator::GlobalQuiesce() {
     // Counters are monotone: identical counters across two rounds with
     // matched sums and idle mailboxes means nothing moved in between.
     if (sent == received && locally_idle && stable) return;
+    // The confirming round goes out at once: each round already waits for
+    // every reply. Only while the counters keep moving do rounds back off,
+    // doubling up to 200 us.
+    const bool first = previous.empty();
     previous = std::move(round);
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (first) continue;
+    std::this_thread::sleep_for(pause);
+    pause = std::min(2 * pause, std::chrono::microseconds(200));
   }
 }
 

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <functional>
 
+#include "src/netio/poll_window.h"
+
 namespace hmdsm::netio {
 
 namespace {
@@ -378,6 +380,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
 
 void ShmTransport::ReaderMain() {
   SegHdr* hdr = Hdr(own_.base);
+  PollWindow window;
   for (;;) {
     const std::uint32_t db = hdr->doorbell.load(std::memory_order_acquire);
     bool progress = false;
@@ -385,13 +388,20 @@ void ShmTransport::ReaderMain() {
       if (g == options_.self_group) continue;
       progress = DrainRing(g) || progress;
     }
-    if (progress) continue;
+    if (progress) {
+      window.Busy();
+      continue;
+    }
     if (stopping_.load(std::memory_order_acquire)) break;
+    // Poll before parking: while the window is open reader_waiting stays
+    // 0, so writers skip FUTEX_WAKE too.
+    if (window.YieldWithin()) continue;
     // Advertise the park, then re-check the doorbell via FUTEX_WAIT's
     // compare: a publish between our load and the wait changes the value
     // and the wait returns immediately. The timeout is a backstop against
     // a writer that died between publish and wake.
     hdr->reader_waiting.store(1, std::memory_order_release);
+    parks_.fetch_add(1, std::memory_order_relaxed);
     FutexWait(&hdr->doorbell, db, 50);
     hdr->reader_waiting.store(0, std::memory_order_relaxed);
   }

@@ -22,12 +22,18 @@
 // Synchronization: head/tail are release/acquire atomics in the mapped
 // region — they carry the happens-before for the plain-byte copies, so the
 // protocol is correct (and TSan-clean) independent of the futexes. The
-// futexes are pure sleep/wake: a parked reader advertises itself in
-// reader_waiting and waits on the segment doorbell; a writer bumps the
+// futexes are pure sleep/wake. The reader polls before it parks: after its
+// last frame it keeps draining the rings, yielding between passes, for
+// kReceivePollWindow (netio/poll_window.h, 200 us), and checks the stop
+// flag on every pass. Only then does it advertise itself in
+// reader_waiting and wait on the segment doorbell. A writer bumps the
 // doorbell after publishing and issues FUTEX_WAKE only when a reader is
-// actually parked. The full-ring path mirrors it with a per-ring space
-// doorbell. All waits are timeout-bounded so teardown can never hang on a
-// lost wakeup or a killed peer.
+// actually parked — so inside the window neither side makes a syscall
+// and no frame pays a thread wake-up. The price is the reader's CPU while
+// traffic flows (README, "Receive threads poll before they park"). The
+// full-ring path mirrors the park with a per-ring space doorbell. All
+// waits are timeout-bounded so teardown can never hang on a lost wakeup
+// or a killed peer.
 //
 // Single-writer contract: WriteFrame(peer, ...) must be externally
 // serialized per peer (SocketTransport calls it under the link mutex that
@@ -114,6 +120,12 @@ class ShmTransport {
   /// bytes are drained now instead of at the next timeout).
   void KickReader();
 
+  /// Times the reader thread has parked on the doorbell (it parks only
+  /// after a kReceivePollWindow without frames).
+  std::uint64_t parks() const {
+    return parks_.load(std::memory_order_relaxed);
+  }
+
   /// Marks the segment closed, wakes every sleeper, joins the reader.
   /// Idempotent. In-flight WriteFrame calls (ours and peers') unblock and
   /// return false.
@@ -145,6 +157,7 @@ class ShmTransport {
   std::vector<Mapping> peer_segs_;  // [g] = peer g's segment (tx direction)
   std::vector<RxState> rx_;
   std::atomic<bool> stopping_{false};
+  std::atomic<std::uint64_t> parks_{0};
   bool reader_started_ = false;
   bool stopped_ = false;
   std::thread reader_;

@@ -15,6 +15,8 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include "src/netio/poll_window.h"
+
 namespace hmdsm::netio {
 
 namespace {
@@ -414,25 +416,32 @@ void SocketTransport::Die(const std::string& why) const {
 void SocketTransport::IoLoop(std::size_t ti) {
   IoThread& t = io_[ti];
   epoll_event events[64];
+  // Poll (timeout 0) while the window after the last peer or wake event is
+  // open; block only once it has passed. Heartbeat ticks do not reopen it.
+  PollWindow window;
+  bool polling = false;
   for (;;) {
-    const int nev = ::epoll_wait(t.epoll.get(), events, 64, -1);
+    const int nev = ::epoll_wait(t.epoll.get(), events, 64, polling ? 0 : -1);
     if (nev < 0) {
       if (errno == EINTR) continue;
       Die(std::string("epoll_wait: ") + std::strerror(errno));
     }
     bool woke = false;
+    bool busy = false;
     for (int i = 0; i < nev; ++i) {
       if (events[i].data.u64 == kWakeTag) {
         std::uint64_t n;
         while (::read(t.wake.get(), &n, sizeof n) > 0) {
         }
         woke = true;
+        busy = true;
         continue;
       }
       if (events[i].data.u64 == kTimerTag) {
         OnTimer(t);
         continue;
       }
+      busy = true;
       const auto g = static_cast<std::size_t>(events[i].data.u64);
       Peer& peer = peers_[g];
       if (peer.dead) continue;
@@ -442,6 +451,8 @@ void SocketTransport::IoLoop(std::size_t ti) {
       }
       if (!peer.dead && (events[i].events & EPOLLOUT) != 0) FlushPeer(t, g);
     }
+    if (busy) window.Busy();
+    polling = busy || window.YieldWithin();
     if (!woke) continue;
     if (stop_io_.load(std::memory_order_acquire)) {
       DrainWrites(t);

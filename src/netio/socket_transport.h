@@ -21,7 +21,13 @@
 // segments around the already-encoded frames, so batching never copies a
 // payload. A partial write parks a cursor and arms EPOLLOUT; the write
 // counters and the write-latency histogram only ever record *successful*
-// writes.
+// writes. A reactor thread polls before it blocks: after its last peer or
+// wake event it calls epoll_wait(..., 0), yielding between passes, for
+// kReceivePollWindow (netio/poll_window.h, 200 us), and only then returns
+// to epoll_wait(-1). Every pass still sees the wake eventfd (stop, kicks)
+// and the heartbeat timerfd, whose ticks alone do not reopen the window.
+// The price is CPU while traffic flows (README, "Receive threads poll
+// before they park").
 //
 // Data path and the delivery contract (see net/transport.h):
 //   * Send() is always called under the source node's agent lock, so sends

@@ -219,7 +219,11 @@ class Channel {
   /// condvar block costs a scheduler wake (tens of microseconds) — the same
   /// order as a modeled message latency, which would distort
   /// measured-vs-modeled comparisons. A short bounded spin absorbs the
-  /// common case; idle dispatchers still park on the condvar.
+  /// common case; idle dispatchers still park on the condvar. The mesh's
+  /// process-level receivers (shm reader, reactor threads) poll longer,
+  /// netio::kReceivePollWindow (netio/poll_window.h): one receiver per
+  /// process waits out whole round trips, while a dispatcher per rank only
+  /// bridges the gap between its receiver's pushes.
   bool WaitPop(net::Packet& out) {
     const auto spin_deadline =
         std::chrono::steady_clock::now() + std::chrono::microseconds(20);
