@@ -6,11 +6,8 @@ namespace {
 ClusterOptions Finalize(ClusterOptions options) {
   HMDSM_CHECK_MSG(options.nodes >= 1 && options.nodes <= 0x10000,
                   "node count out of range");
-  // Keep the adaptive policy's α consistent with the simulated interconnect
-  // unless a bench pinned it explicitly.
-  if (!options.dsm.pin_half_peak) {
-    options.dsm.adaptive.half_peak_bytes = options.model.half_peak_bytes();
-  }
+  // Keep the adaptive policy's α consistent with the simulated interconnect.
+  options.dsm.adaptive.half_peak_bytes = options.model.half_peak_bytes();
   return options;
 }
 }  // namespace

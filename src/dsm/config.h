@@ -28,10 +28,9 @@ struct DsmConfig {
   std::string policy = "AT";
 
   /// Parameters for the adaptive policy. `half_peak_bytes` is overwritten
-  /// from the network model when the cluster is built (so α always matches
-  /// the simulated interconnect) unless `pin_half_peak` is set.
+  /// from the network model when the cluster is built, so α always matches
+  /// the simulated interconnect.
   core::AdaptiveParams adaptive;
-  bool pin_half_peak = false;
 
   NotifyMechanism notify = NotifyMechanism::kForwardingPointer;
 
@@ -41,7 +40,7 @@ struct DsmConfig {
   /// next walker from that direction takes one hop. One small notify
   /// message per multi-hop walk. The paper's protocol does NOT compress —
   /// its R feedback is defined on accumulated redirections — so this
-  /// defaults off; see bench/ablation_compression.
+  /// defaults off; see the ablation_compression_* rows of BENCH_paper.json.
   bool compress_chains = false;
 
   /// Write-through mode: emulates the sequential-consistency-style

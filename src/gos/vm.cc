@@ -13,10 +13,8 @@ std::string_view BackendName(Backend backend) {
   return "?";
 }
 
-std::string ValidateBackendRequest(Backend backend, std::string_view app,
-                                   bool record, bool inject_latency) {
-  (void)app;  // every app (asp/sor/nbody/tsp/synthetic/scenario) runs on
-              // every backend since the Vm became a backend facade
+std::string ValidateBackendRequest(Backend backend, bool record,
+                                   bool inject_latency) {
   if (backend == Backend::kSim && inject_latency) {
     return "--inject-latency needs --backend=threads: the simulator already "
            "prices every message with the Hockney model in virtual time";

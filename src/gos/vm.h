@@ -169,11 +169,12 @@ enum class Backend {
 
 std::string_view BackendName(Backend backend);
 
-/// Checks a requested app/flag combination against a backend; returns an
-/// empty string when runnable, else the human-readable rejection reason.
-/// (The CLI and the benches share this; util_flags_test pins the matrix.)
-std::string ValidateBackendRequest(Backend backend, std::string_view app,
-                                   bool record, bool inject_latency);
+/// Checks a requested flag combination against a backend (every app runs on
+/// every backend); returns an empty string when runnable, else the
+/// human-readable rejection reason. The CLI calls it; util_flags_test pins
+/// the matrix.
+std::string ValidateBackendRequest(Backend backend, bool record,
+                                   bool inject_latency);
 
 struct VmOptions {
   std::size_t nodes = 8;
@@ -265,7 +266,7 @@ struct RunReport {
   std::uint64_t migrations = 0;
   /// Policy consultations whose verdict was "stay put"; migrations +
   /// mig_rejections equals the total decision count (ledger size +
-  /// evictions) when auditing is on.
+  /// evictions).
   std::uint64_t mig_rejections = 0;
   std::uint64_t redirect_hops = 0;
   std::uint64_t diffs_created = 0;

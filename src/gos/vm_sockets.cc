@@ -90,9 +90,8 @@ runtime::RuntimeOptions ToRuntimeOptions(const VmOptions& o,
   r.nodes = o.nodes;
   r.dsm = o.dsm;
   // Same policy parameterization as the other backends: the adaptive
-  // policy's α tracks the configured interconnect model unless pinned.
-  if (!r.dsm.pin_half_peak)
-    r.dsm.adaptive.half_peak_bytes = o.model.half_peak_bytes();
+  // policy's α tracks the configured interconnect model.
+  r.dsm.adaptive.half_peak_bytes = o.model.half_peak_bytes();
   r.model = o.model;
   r.inject_latency_scale = 0;  // sockets pay real latency
   r.trace = trace;

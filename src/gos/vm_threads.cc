@@ -39,9 +39,8 @@ runtime::RuntimeOptions ToRuntimeOptions(const VmOptions& o,
   r.nodes = o.nodes;
   r.dsm = o.dsm;
   // Same policy parameterization as dsm::Cluster: the adaptive policy's α
-  // tracks the configured interconnect model unless a bench pinned it.
-  if (!r.dsm.pin_half_peak)
-    r.dsm.adaptive.half_peak_bytes = o.model.half_peak_bytes();
+  // tracks the configured interconnect model.
+  r.dsm.adaptive.half_peak_bytes = o.model.half_peak_bytes();
   r.model = o.model;
   r.inject_latency_scale = o.inject_latency ? o.inject_scale : 0.0;
   r.trace = trace;

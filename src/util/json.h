@@ -1,10 +1,10 @@
-// Minimal streaming JSON writer for machine-readable bench summaries.
+// Minimal streaming JSON writer for machine-readable run summaries.
 //
-// The benches print human tables and CSV twins; the JSON twin is what
-// cross-PR tooling diffs, so emission must be deterministic and strict:
-// keys in call order, no trailing commas, all strings escaped, doubles
-// printed with enough digits to round-trip. This is a writer only — the
-// repo never parses JSON.
+// BENCH_paper.json, the repo benchmark's result line and the CLI's audit
+// and poll files are what cross-PR tooling diffs, so emission must be
+// deterministic and strict: keys in call order, no trailing commas, all
+// strings escaped, doubles printed with enough digits to round-trip. This
+// is a writer only — the C++ code never parses JSON.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
-// Console table formatting for bench harnesses.
+// Console table formatting for the CLI report and the trace summary.
 //
-// The figure-reproduction benches print the same rows/series the paper
-// plots; this helper keeps the output aligned and diff-friendly.
+// This helper keeps printed rows aligned and diff-friendly.
 #pragma once
 
 #include <initializer_list>

@@ -54,17 +54,21 @@ namespace {
 struct CrossParam {
   std::size_t nodes;
   bool inject;  // threads-backend Hockney latency injection
+  const char* policy = "AT";
 };
 
 std::string ParamName(const ::testing::TestParamInfo<CrossParam>& info) {
+  const std::string policy = info.param.policy;
   return std::to_string(info.param.nodes) + "nodes" +
-         (info.param.inject ? "_inject" : "");
+         (info.param.inject ? "_inject" : "") +
+         (policy == "AT" ? "" : "_" + policy);
 }
 
-gos::VmOptions Opts(std::size_t nodes, gos::Backend backend, bool inject) {
+gos::VmOptions Opts(std::size_t nodes, gos::Backend backend, bool inject,
+                    const char* policy = "AT") {
   gos::VmOptions o;
   o.nodes = nodes;
-  o.dsm.policy = "AT";
+  o.dsm.policy = policy;
   o.backend = backend;
   if (backend == gos::Backend::kThreads && inject) {
     o.inject_latency = true;
@@ -79,10 +83,11 @@ class AppsCrossBackend : public ::testing::TestWithParam<CrossParam> {
  protected:
   std::size_t nodes() const { return GetParam().nodes; }
   gos::VmOptions Sim() const {
-    return Opts(nodes(), gos::Backend::kSim, false);
+    return Opts(nodes(), gos::Backend::kSim, false, GetParam().policy);
   }
   gos::VmOptions Threads() const {
-    return Opts(nodes(), gos::Backend::kThreads, GetParam().inject);
+    return Opts(nodes(), gos::Backend::kThreads, GetParam().inject,
+                GetParam().policy);
   }
 };
 
@@ -158,7 +163,11 @@ INSTANTIATE_TEST_SUITE_P(NodeCountsAndInjection, AppsCrossBackend,
                          ::testing::Values(CrossParam{2, false},
                                            CrossParam{4, false},
                                            CrossParam{2, true},
-                                           CrossParam{4, true}),
+                                           CrossParam{4, true},
+                                           // Homes never move under NoHM,
+                                           // so injection delays another
+                                           // message mix than under AT.
+                                           CrossParam{4, true, "NoHM"}),
                          ParamName);
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "src/util/csv.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 
@@ -113,22 +112,6 @@ TEST(Fmt, Seconds) {
   EXPECT_EQ(FmtSeconds(0.0025), "2.50 ms");
   EXPECT_EQ(FmtSeconds(70e-6), "70.0 us");
   EXPECT_EQ(FmtSeconds(5e-9), "5 ns");
-}
-
-// ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-TEST(Csv, EscapesSpecials) {
-  EXPECT_EQ(CsvWriter::Escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::Escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::Escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, UnopenableFileIsNoOp) {
-  CsvWriter w("/nonexistent-dir-xyz/file.csv");
-  EXPECT_FALSE(w.ok());
-  w.Row({"a", "b"});  // must not crash
 }
 
 }  // namespace

@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
     vm.sockets.shm = flags.GetBool("shm", true);
   }
   const std::string rejection = gos::ValidateBackendRequest(
-      vm.backend, app, flags.Has("record"), vm.inject_latency);
+      vm.backend, flags.Has("record"), vm.inject_latency);
   if (!rejection.empty()) return Usage(rejection.c_str());
 
   // An explicit mesh (one CLI invocation per rank, possibly on other
