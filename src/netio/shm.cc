@@ -13,7 +13,6 @@
 #include <cstring>
 #include <functional>
 
-#include "src/netio/poll_window.h"
 
 namespace hmdsm::netio {
 
@@ -45,17 +44,17 @@ struct SegHdr {
   std::uint32_t magic;
   std::uint32_t ring_count;
   std::uint64_t ring_bytes;
-  // Bumped (release) by any writer after publishing bytes; the owner's
-  // reader parks on it when every ring is drained.
+  // Bumped by any writer after publishing bytes (and by Knock); the
+  // owner's drainer parks on it when its mailbox and every ring are empty.
   std::atomic<std::uint32_t> doorbell;
-  std::atomic<std::uint32_t> reader_waiting;
+  std::atomic<std::uint32_t> drainer_waiting;
   // Owner is tearing down; writers must stop and return false.
   std::atomic<std::uint32_t> closed;
 };
 
 struct alignas(kCacheLine) RingHdr {
   // Monotonic byte cursors (never wrap the integer; positions are mod
-  // ring_bytes). head is owned by the reader, tail by the writer; each
+  // ring_bytes). head is owned by the drainer, tail by the writer; each
   // publishes with release and reads the other with acquire — that pair is
   // the happens-before edge covering the plain-byte ring copies.
   std::atomic<std::uint64_t> head;
@@ -64,7 +63,7 @@ struct alignas(kCacheLine) RingHdr {
   char pad1[kCacheLine - sizeof(std::atomic<std::uint64_t>)];
   std::atomic<std::uint32_t> attached;  // writer mapped us and may publish
   std::atomic<std::uint32_t> writer_waiting;
-  std::atomic<std::uint32_t> space_db;  // bumped by the reader after drains
+  std::atomic<std::uint32_t> space_db;  // bumped by the drainer after drains
   char pad2[kCacheLine - 3 * sizeof(std::atomic<std::uint32_t>)];
 };
 static_assert(sizeof(RingHdr) == 3 * kCacheLine, "RingHdr padding drifted");
@@ -110,6 +109,15 @@ void CopyIn(Byte* ring, std::size_t ring_bytes, std::uint64_t pos,
 void Unmap(void* base, std::size_t bytes, int fd) {
   if (base != nullptr) munmap(base, bytes);
   if (fd >= 0) close(fd);
+}
+
+// Publishes an event to the segment owner's drainer. The seq_cst pair with
+// Park's drainer_waiting store means either the drainer's FUTEX_WAIT
+// compare sees the new doorbell value or this load sees it parked.
+void RingDoorbell(SegHdr* hdr) {
+  hdr->doorbell.fetch_add(1, std::memory_order_seq_cst);
+  if (hdr->drainer_waiting.load(std::memory_order_seq_cst) != 0)
+    FutexWake(&hdr->doorbell);
 }
 
 }  // namespace
@@ -190,7 +198,11 @@ ShmTransport::ShmTransport(const ShmTransportOptions& options,
       peer_segs_(options.group_count),
       rx_(options.group_count) {}
 
-ShmTransport::~ShmTransport() { Stop(); }
+ShmTransport::~ShmTransport() {
+  Stop();
+  for (Mapping& m : peer_segs_) Unmap(m.base, m.bytes, m.fd);
+  Unmap(own_.base, own_.bytes, own_.fd);
+}
 
 bool ShmTransport::AttachPeer(std::size_t peer_group, const std::string& name,
                               std::string* error) {
@@ -268,10 +280,17 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
         if (stopping_.load(std::memory_order_acquire) ||
             hdr->closed.load(std::memory_order_acquire) != 0)
           return false;
+        if (OnDrainerThread()) {
+          // The drainer never sleeps while its own rings hold bytes: the
+          // peer whose drainer frees this ring may itself be blocked
+          // writing into ours.
+          if (!Drain()) std::this_thread::yield();
+          continue;
+        }
         // Park on the space doorbell. Re-check head after raising
-        // writer_waiting: the reader bumps space_db after its drain, so a
+        // writer_waiting: the drainer bumps space_db after its drain, so a
         // drain between our head load and the wait would otherwise be a
-        // lost wakeup. The timeout bounds the window where the reader died
+        // lost wakeup. The timeout bounds the window where the owner died
         // without closing.
         const std::uint32_t db = rh->space_db.load(std::memory_order_acquire);
         rh->writer_waiting.store(1, std::memory_order_release);
@@ -287,9 +306,7 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
       p += take;
       n -= take;
       rh->tail.store(tail, std::memory_order_release);
-      hdr->doorbell.fetch_add(1, std::memory_order_release);
-      if (hdr->reader_waiting.load(std::memory_order_acquire) != 0)
-        FutexWake(&hdr->doorbell);
+      RingDoorbell(hdr);
     }
     return true;
   };
@@ -299,20 +316,43 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
   return push(len4, 4) && push(frame.data(), frame.size());
 }
 
-void ShmTransport::StartReader(FrameHandler on_frame, FatalHandler on_fatal,
+void ShmTransport::SetReceiver(FrameHandler on_frame, FatalHandler on_fatal,
                                BufferPool* pool, RingGate ready) {
   on_frame_ = std::move(on_frame);
   on_fatal_ = std::move(on_fatal);
   ready_ = std::move(ready);
   pool_ = pool;
-  reader_started_ = true;
-  reader_ = std::thread([this] { ReaderMain(); });
 }
 
-void ShmTransport::KickReader() {
+std::uint32_t ShmTransport::Doorbell() const {
+  return Hdr(own_.base)->doorbell.load(std::memory_order_acquire);
+}
+
+void ShmTransport::Knock() { RingDoorbell(Hdr(own_.base)); }
+
+void ShmTransport::Park(std::uint32_t seen) {
   SegHdr* hdr = Hdr(own_.base);
-  hdr->doorbell.fetch_add(1, std::memory_order_release);
-  FutexWake(&hdr->doorbell);
+  // Advertise the park, then let FUTEX_WAIT's compare re-check the
+  // doorbell: an event after `seen` was read changed the value and the wait
+  // returns at once. The timeout is a backstop against a writer that died
+  // between publish and wake.
+  hdr->drainer_waiting.store(1, std::memory_order_seq_cst);
+  parks_.fetch_add(1, std::memory_order_relaxed);
+  FutexWait(&hdr->doorbell, seen, 50);
+  hdr->drainer_waiting.store(0, std::memory_order_relaxed);
+}
+
+bool ShmTransport::Drain() {
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  const std::thread::id me = std::this_thread::get_id();
+  if (drainer_.load(std::memory_order_relaxed) != me)
+    drainer_.store(me, std::memory_order_relaxed);
+  bool progress = false;
+  for (std::size_t g = 0; g < options_.group_count; ++g) {
+    if (g == options_.self_group) continue;
+    progress = DrainRing(g) || progress;
+  }
+  return progress;
 }
 
 bool ShmTransport::DrainRing(std::size_t g) {
@@ -378,35 +418,6 @@ bool ShmTransport::DrainRing(std::size_t g) {
   return true;
 }
 
-void ShmTransport::ReaderMain() {
-  SegHdr* hdr = Hdr(own_.base);
-  PollWindow window;
-  for (;;) {
-    const std::uint32_t db = hdr->doorbell.load(std::memory_order_acquire);
-    bool progress = false;
-    for (std::size_t g = 0; g < options_.group_count; ++g) {
-      if (g == options_.self_group) continue;
-      progress = DrainRing(g) || progress;
-    }
-    if (progress) {
-      window.Busy();
-      continue;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-    // Poll before parking: while the window is open reader_waiting stays
-    // 0, so writers skip FUTEX_WAKE too.
-    if (window.YieldWithin()) continue;
-    // Advertise the park, then re-check the doorbell via FUTEX_WAIT's
-    // compare: a publish between our load and the wait changes the value
-    // and the wait returns immediately. The timeout is a backstop against
-    // a writer that died between publish and wake.
-    hdr->reader_waiting.store(1, std::memory_order_release);
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    FutexWait(&hdr->doorbell, db, 50);
-    hdr->reader_waiting.store(0, std::memory_order_relaxed);
-  }
-}
-
 void ShmTransport::Stop() {
   if (stopped_) return;
   stopped_ = true;
@@ -423,13 +434,6 @@ void ShmTransport::Stop() {
     rh->space_db.fetch_add(1, std::memory_order_release);
     FutexWake(&rh->space_db);
   }
-  if (reader_started_) reader_.join();
-  for (Mapping& m : peer_segs_) {
-    Unmap(m.base, m.bytes, m.fd);
-    m = Mapping{};
-  }
-  Unmap(own_.base, own_.bytes, own_.fd);
-  own_ = Mapping{};
   shm_unlink(name_.c_str());
 }
 

@@ -2,19 +2,20 @@
 // mesh processes (the other half of ROADMAP item 3).
 //
 // Every process that enables --shm creates ONE POSIX shared-memory segment
-// at transport start: its *inbound* segment, holding one SPSC byte-stream
-// ring per potential writer process plus futex doorbell words. The segment
-// name and a host-identity hash travel in the Hello/HelloAck handshake;
-// when both ends of a link enable shm and report the same host, each side
-// maps the other's segment and from then on sends every DATA frame for
-// that link through the peer's ring — no TCP, no syscalls in steady state.
+// when its transport is constructed: its *inbound* segment, holding one
+// SPSC byte-stream ring per potential writer process plus futex doorbell
+// words. The segment name and a host-identity hash travel in the
+// Hello/HelloAck handshake; when both ends of a link enable shm and report
+// the same host, each side maps the other's segment and from then on sends
+// every DATA frame for that link through the peer's ring — no TCP, no
+// syscalls in steady state.
 // Control frames (coordinator plane, heartbeats) stay on the TCP link, so
 // the liveness plane still measures the real network path.
 //
 // Ring model: a pipe, not a slot array. Each ring is a fixed-capacity byte
 // stream carrying records of [u32 len][frame bytes], copied in and out
 // with wraparound. Streaming means a frame larger than the ring still
-// flows (writer fills, reader drains, repeat) — there is no oversize
+// flows (writer fills, drainer empties, repeat) — there is no oversize
 // fallback path that could reorder traffic, which is what makes the ring
 // the *single* FIFO data channel per direction — the per-sender FIFO
 // delivery contract (net/transport.h) holds on the ring exactly as on TCP.
@@ -22,23 +23,33 @@
 // Synchronization: head/tail are release/acquire atomics in the mapped
 // region — they carry the happens-before for the plain-byte copies, so the
 // protocol is correct (and TSan-clean) independent of the futexes. The
-// futexes are pure sleep/wake. The reader polls before it parks: after its
-// last frame it keeps draining the rings, yielding between passes, for
-// kReceivePollWindow (netio/poll_window.h, 200 us), and checks the stop
-// flag on every pass. Only then does it advertise itself in
-// reader_waiting and wait on the segment doorbell. A writer bumps the
-// doorbell after publishing and issues FUTEX_WAKE only when a reader is
-// actually parked — so inside the window neither side makes a syscall
-// and no frame pays a thread wake-up. The price is the reader's CPU while
-// traffic flows (README, "Receive threads poll before they park"). The
-// full-ring path mirrors the park with a per-ring space doorbell. All
-// waits are timeout-bounded so teardown can never hang on a lost wakeup
-// or a killed peer.
+// futexes are pure sleep/wake.
+//
+// Receive side: no thread of its own. The segment owner's *drainer* —
+// the primary rank's dispatcher (netio/socket_transport.h) — calls Drain()
+// between mailbox pops, so a frame is decoded and handled on the thread
+// that runs its handler, with no hand-off in between. When both its
+// mailbox and its rings are empty it polls for kReceivePollWindow
+// (netio/poll_window.h, 200 us), then advertises itself in
+// drainer_waiting and waits on the segment doorbell (Park). A ring writer
+// bumps the doorbell after publishing, and so does every push into the
+// drainer's mailbox (Knock); either issues FUTEX_WAKE only when the
+// drainer is actually parked, so inside the window neither side makes a
+// syscall and no frame pays a thread wake-up.
+//
+// Liveness: the drainer is also a sender, so it must never block while its
+// own rings hold bytes — a peer blocked writing into them may be exactly
+// what it waits on. WriteFrame on the drainer's thread therefore drains
+// while it waits for ring space instead of parking (other writers park on
+// a per-ring space doorbell); the agent-lock and link-lock waits follow
+// the same rule (runtime/runtime.cc DispatchLoop, SocketTransport::
+// SendData). All waits are timeout-bounded so teardown can never hang on
+// a lost wakeup or a killed peer.
 //
 // Single-writer contract: WriteFrame(peer, ...) must be externally
 // serialized per peer (SocketTransport calls it under the link mutex that
-// already orders that link's sends). The reader side is one thread owned by
-// this object.
+// already orders that link's sends). Drain() is single-consumer: one
+// thread at a time, and the last thread that called it is the drainer.
 #pragma once
 
 #include <atomic>
@@ -57,8 +68,8 @@ namespace hmdsm::netio {
 struct ShmTransportOptions {
   std::size_t group_count = 0;  // processes in the mesh
   std::size_t self_group = 0;   // this process's index
-  /// Capacity of each inbound ring. A full ring blocks the writer briefly
-  /// (the reader drains continuously), it never drops or reorders.
+  /// Capacity of each inbound ring. A full ring blocks the writer until the
+  /// owner's drainer makes room; it never drops or reorders.
   std::size_t ring_bytes = 256 * 1024;
   /// Frames above this are a protocol violation (same bound the TCP reader
   /// enforces).
@@ -104,31 +115,52 @@ class ShmTransport {
   /// An unrecoverable ring violation (bad record length). The transport
   /// treats it like a malformed TCP frame: fatal.
   using FatalHandler = std::function<void(const std::string& why)>;
-  /// Per-ring drain gate: the reader leaves ring `g`'s bytes in place until
+  /// Per-ring drain gate: Drain leaves ring `g`'s bytes in place until
   /// this returns true. SocketTransport gates on handshake completion so a
   /// peer that attaches and writes the instant it sees our HelloAck cannot
   /// have frames processed before this process adopted the link.
   using RingGate = std::function<bool(std::size_t src_group)>;
 
-  /// Starts the reader thread draining every attached inbound ring. Call
-  /// once, before any peer can be sending (i.e. before the handshake
-  /// completes). A null `ready` gate means every ring is always ready.
-  void StartReader(FrameHandler on_frame, FatalHandler on_fatal,
+  /// Installs the receive side. Call once, before any peer can be sending
+  /// (i.e. before the handshake completes). A null `ready` gate means
+  /// every ring is always ready.
+  void SetReceiver(FrameHandler on_frame, FatalHandler on_fatal,
                    BufferPool* pool, RingGate ready = nullptr);
 
-  /// Wakes the reader thread (e.g. after a RingGate flips open, so gated
-  /// bytes are drained now instead of at the next timeout).
-  void KickReader();
+  /// One pass over every attached inbound ring on the calling thread,
+  /// which becomes the drainer: each completed frame goes to on_frame
+  /// right here. True if any byte moved. A no-op once stopping.
+  bool Drain();
 
-  /// Times the reader thread has parked on the doorbell (it parks only
-  /// after a kReceivePollWindow without frames).
+  /// True on the thread that last called Drain().
+  bool OnDrainerThread() const {
+    return drainer_.load(std::memory_order_relaxed) ==
+           std::this_thread::get_id();
+  }
+
+  /// The doorbell value to pass to Park(): read it *before* the checks
+  /// (mailbox, Drain) whose emptiness decides to park, so an event between
+  /// them and the park is never lost.
+  std::uint32_t Doorbell() const;
+
+  /// Parks the drainer until the doorbell moves past `seen` — a ring
+  /// writer published, or Knock() — or a 50 ms backstop passes.
+  void Park(std::uint32_t seen);
+
+  /// Rings the doorbell for an event the drainer waits on besides ring
+  /// bytes (a mailbox push, a ring gate opening, a close); wakes it only
+  /// when it is parked.
+  void Knock();
+
+  /// Times the drainer has parked on the doorbell.
   std::uint64_t parks() const {
     return parks_.load(std::memory_order_relaxed);
   }
 
-  /// Marks the segment closed, wakes every sleeper, joins the reader.
-  /// Idempotent. In-flight WriteFrame calls (ours and peers') unblock and
-  /// return false.
+  /// Marks the segment closed and wakes every sleeper; from now on Drain
+  /// does nothing and WriteFrame calls (ours and peers') return false.
+  /// Idempotent. The mappings stay until destruction, so a dispatcher that
+  /// is still mid-pass never touches unmapped memory.
   void Stop();
 
  private:
@@ -137,7 +169,7 @@ class ShmTransport {
     std::size_t bytes = 0;
     int fd = -1;
   };
-  /// Per-ring reader state: a record may arrive across many drains.
+  /// Per-ring receive state: a record may arrive across many drains.
   struct RxState {
     Byte len[4] = {};
     std::size_t len_got = 0;
@@ -147,7 +179,6 @@ class ShmTransport {
 
   ShmTransport(const ShmTransportOptions& options, std::string name,
                Mapping own);
-  void ReaderMain();
   /// Drains whatever is available in ring `g`; true if any byte moved.
   bool DrainRing(std::size_t g);
 
@@ -158,9 +189,8 @@ class ShmTransport {
   std::vector<RxState> rx_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> parks_{0};
-  bool reader_started_ = false;
+  std::atomic<std::thread::id> drainer_{};
   bool stopped_ = false;
-  std::thread reader_;
   FrameHandler on_frame_;
   FatalHandler on_fatal_;
   RingGate ready_;

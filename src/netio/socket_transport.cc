@@ -80,6 +80,36 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   mailbox_overflow_base_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(local_count);
   for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
+  // The segment exists from construction on, so whether the primary's
+  // WaitPop drains rings is settled before any dispatcher calls it.
+  if (group_count_ > 1 && options_.shm) {
+    ShmTransportOptions so;
+    so.group_count = group_count_;
+    so.self_group = group_;
+    so.ring_bytes = options_.shm_ring_bytes;
+    so.max_frame_bytes = options_.max_frame_bytes;
+    std::string error;
+    shm_ = ShmTransport::Create(so, &error);
+    if (shm_ == nullptr) {
+      // Setup failure is a degradation, not an error: every link simply
+      // stays on TCP (and the handshake never advertises the flag).
+      std::fprintf(stderr, "hmdsm sockets: rank %u: shm disabled: %s\n",
+                   options_.rank, error.c_str());
+    } else {
+      shm_->SetReceiver(
+          [this](std::size_t src_group, Buf frame) {
+            OnRingFrame(src_group, frame);
+          },
+          [this](const std::string& why) { Die(why); }, &rx_pool_,
+          // Drain gate: ring bytes wait until this process adopted the
+          // link — a peer may attach and write the instant it sees our
+          // HelloAck, before our RegisterPeer has run.
+          [this](std::size_t src_group) {
+            return peers_[src_group].registered.load(
+                std::memory_order_acquire);
+          });
+    }
+  }
 }
 
 SocketTransport::~SocketTransport() { Stop(); }
@@ -99,40 +129,6 @@ void SocketTransport::Start() {
   started_ = true;
   if (group_count_ == 1) return;  // whole cluster in-process: no wire at all
   host_id_ = ShmTransport::HostIdentity();
-  if (options_.shm) {
-    ShmTransportOptions so;
-    so.group_count = group_count_;
-    so.self_group = group_;
-    so.ring_bytes = options_.shm_ring_bytes;
-    so.max_frame_bytes = options_.max_frame_bytes;
-    std::string error;
-    shm_ = ShmTransport::Create(so, &error);
-    if (shm_ == nullptr) {
-      // Setup failure is a degradation, not an error: every link simply
-      // stays on TCP (and the handshake never advertises the flag).
-      std::fprintf(stderr, "hmdsm sockets: rank %u: shm disabled: %s\n",
-                   options_.rank, error.c_str());
-    } else {
-      shm_->StartReader(
-          [this](std::size_t src_group, Buf frame) {
-            FrameType type;
-            if (!PeekType(frame.span(), &type) ||
-                type != FrameType::kData) {
-              Die("non-data frame on the shm ring from process " +
-                  std::to_string(src_group));
-            }
-            HandleFrame(src_group, frame, /*allow_batch=*/false);
-          },
-          [this](const std::string& why) { Die(why); }, &rx_pool_,
-          // Drain gate: ring bytes wait until this process adopted the
-          // link — a peer may attach and write the instant it sees our
-          // HelloAck, before our RegisterPeer has run.
-          [this](std::size_t src_group) {
-            return peers_[src_group].registered.load(
-                std::memory_order_acquire);
-          });
-    }
-  }
   // Only processes with a higher-primary peer expect inbound dials.
   if (group_ + 1 < group_count_) {
     if (options_.listen_fd >= 0) {
@@ -356,10 +352,10 @@ void SocketTransport::RegisterPeer(std::size_t group, Fd fd,
   HMDSM_CHECK(::epoll_ctl(io_[peer.io_thread].epoll.get(), EPOLL_CTL_ADD,
                           peer.fd.get(), &ev) == 0);
   peer.registered.store(true, std::memory_order_release);
-  // The shm reader parks on its gate while `registered` is false; wake it
-  // so ring bytes that raced the handshake drain now rather than on the
-  // next doorbell.
-  if (shm_ != nullptr) shm_->KickReader();
+  // Drain leaves this ring alone while `registered` is false; wake the
+  // drainer so ring bytes that raced the handshake drain now rather than
+  // at the park backstop.
+  if (shm_ != nullptr) shm_->Knock();
   // Frames enqueued before the handshake completed have been waiting for
   // exactly this moment.
   bool pending;
@@ -625,25 +621,7 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     Die("unknown frame type from process " + std::to_string(group));
   }
   if (type == FrameType::kData) {
-    DataFrame data;
-    if (!TryDecode(frame, &data, &error)) {
-      Die("malformed data frame from process " + std::to_string(group) +
-          ": " + error);
-    }
-    if (data.src >= options_.peers.size() || GroupOf(data.src) != group ||
-        !is_local(data.dst)) {
-      Die("misrouted data frame from process " + std::to_string(group) +
-          " (claims " + std::to_string(data.src) + "->" +
-          std::to_string(data.dst) + ")");
-    }
-    wire_received_.fetch_add(1, std::memory_order_acq_rel);
-    // Count before the push, exactly like the channel transport: once the
-    // dispatcher can see the packet, enqueued() must already cover it.
-    enqueued_.fetch_add(1, std::memory_order_acq_rel);
-    net::Packet packet{data.src, data.dst, data.cat,
-                       std::move(data.payload)};
-    packet.enqueued_at = Now();
-    mailboxes_[data.dst - options_.rank].Push(std::move(packet));
+    Deliver(DecodeData(group, frame));
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
     if (!allow_batch || !TryDecodeBatch(frame, &inner, &error)) {
@@ -688,6 +666,79 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     }
     control_handler_(PrimaryOf(group), frame.span());
   }
+}
+
+net::Packet SocketTransport::DecodeData(std::size_t group, const Buf& frame) {
+  std::string error;
+  DataFrame data;
+  if (!TryDecode(frame, &data, &error)) {
+    Die("malformed data frame from process " + std::to_string(group) + ": " +
+        error);
+  }
+  if (data.src >= options_.peers.size() || GroupOf(data.src) != group ||
+      !is_local(data.dst)) {
+    Die("misrouted data frame from process " + std::to_string(group) +
+        " (claims " + std::to_string(data.src) + "->" +
+        std::to_string(data.dst) + ")");
+  }
+  wire_received_.fetch_add(1, std::memory_order_acq_rel);
+  // Count before the dispatcher can see the packet, exactly like the
+  // channel transport: enqueued() must already cover it.
+  enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  net::Packet packet{data.src, data.dst, data.cat, std::move(data.payload)};
+  packet.enqueued_at = Now();
+  return packet;
+}
+
+void SocketTransport::OnRingFrame(std::size_t group, const Buf& frame) {
+  FrameType type;
+  if (!PeekType(frame.span(), &type) || type != FrameType::kData)
+    Die("non-data frame on the shm ring from process " + std::to_string(group));
+  net::Packet packet = DecodeData(group, frame);
+  if (drain_slot_ != nullptr && packet.dst == options_.rank) {
+    // DrainPop is waiting for exactly this: hand the packet straight to
+    // the dispatcher. Later frames of the same pass queue behind it in the
+    // mailbox, which DrainPop pops before it drains again.
+    *drain_slot_ = std::move(packet);
+    drain_slot_ = nullptr;
+    return;
+  }
+  Deliver(std::move(packet));
+}
+
+void SocketTransport::Deliver(net::Packet&& packet) {
+  const std::size_t i = packet.dst - options_.rank;
+  mailboxes_[i].Push(std::move(packet));
+  // The primary's dispatcher parks on the shm doorbell, not on its mailbox.
+  if (i == 0 && shm_ != nullptr) shm_->Knock();
+}
+
+bool SocketTransport::DrainPop(net::Packet& out) {
+  runtime::Channel& mailbox = mailboxes_.front();
+  // A handler just ran, and its reply usually lands within a round trip:
+  // poll a whole window before parking.
+  PollWindow window;
+  window.Busy();
+  for (;;) {
+    const std::uint32_t seen = shm_->Doorbell();
+    if (mailbox.closed()) return false;
+    if (mailbox.TryPop(out)) return true;
+    drain_slot_ = &out;
+    const bool moved = shm_->Drain();
+    const bool got = drain_slot_ == nullptr;
+    drain_slot_ = nullptr;
+    if (got) return true;
+    if (moved) {
+      window.Busy();
+    } else if (!window.YieldWithin()) {
+      shm_->Park(seen);
+    }
+  }
+}
+
+void SocketTransport::Progress(net::NodeId node) {
+  CheckLocal(node);
+  if (!shm_->Drain()) std::this_thread::yield();
 }
 
 void SocketTransport::OnTimer(IoThread& t) {
@@ -943,7 +994,15 @@ void SocketTransport::SendData(net::NodeId dst, const DataFrame& data) {
   }
   bool via_shm = false;
   {
-    std::lock_guard lock(peer.mu);
+    std::unique_lock lock(peer.mu, std::defer_lock);
+    if (shm_ != nullptr && shm_->OnDrainerThread()) {
+      // The drainer must not block here either: the holder may be a
+      // co-hosted rank's guest stuck on this peer's full ring, and the
+      // peer's drainer may be waiting on a ring of ours.
+      while (!lock.try_lock()) Progress(options_.rank);
+    } else {
+      lock.lock();
+    }
     HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
     Bytes frame = Encode(data);
     if (peer.shm_tx) {
@@ -1003,7 +1062,7 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
     enqueued_.fetch_add(1, std::memory_order_acq_rel);
     net::Packet packet{src, dst, cat, std::move(payload)};
     packet.enqueued_at = Now();
-    mailboxes_[dst - options_.rank].Push(std::move(packet));
+    Deliver(std::move(packet));
     return;
   }
   const std::size_t wire_bytes = payload.size() + kHeaderBytes;
@@ -1143,10 +1202,10 @@ void SocketTransport::Stop() {
   for (IoThread& t : io_) {
     if (t.th.joinable()) t.th.join();
   }
-  // The shm reader pushes into the mailboxes: it must be fully stopped
-  // before they close under it.
+  // Closing the mailboxes wakes and releases a parked drainer; stopping the
+  // segment turns Drain into a no-op but keeps it mapped until destruction.
+  CloseAll();
   if (shm_ != nullptr) shm_->Stop();
-  for (runtime::Channel& m : mailboxes_) m.Close();
   listener_.Close();
   for (Peer& peer : peers_) peer.fd.Close();
   for (IoThread& t : io_) {

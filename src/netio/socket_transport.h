@@ -26,7 +26,7 @@
 // kReceivePollWindow (netio/poll_window.h, 200 us), and only then returns
 // to epoll_wait(-1). Every pass still sees the wake eventfd (stop, kicks)
 // and the heartbeat timerfd, whose ticks alone do not reopen the window.
-// The price is CPU while traffic flows (README, "Receive threads poll
+// The price is CPU while traffic flows (README, "Receive paths poll
 // before they park").
 //
 // Data path and the delivery contract (see net/transport.h):
@@ -47,8 +47,10 @@
 //     and data packets are pushed into the destination rank's mailbox —
 //     the same mailbox local sends use, so delivery order is whatever that
 //     rank's single dispatcher pops, and a self-send is never re-entrant.
-//     Payloads are aliased views of the received wire frame (util::Buf),
-//     never re-copied between the wire and the mailbox.
+//     The one exception is a shm frame for the primary rank, which its own
+//     dispatcher decodes and runs directly (below). Payloads are aliased
+//     views of the received wire frame (util::Buf), never re-copied
+//     between the wire and the handler.
 //   * Statistics live in the local ranks' recorders only (send half at
 //     Send, receive half at Dispatch); cluster totals are gathered over
 //     control frames by the netio::Coordinator at the end of a run.
@@ -79,6 +81,20 @@
 // acknowledged setup). The one data/control ordering hazard is at attach
 // time: if the TCP queue already holds data frames when shm comes up, the
 // link simply stays on TCP — never reorder, just decline.
+//
+// Thread layout on a shm mesh: no thread reads the rings on the side. The
+// primary rank's dispatcher is the drainer — its WaitPop (DrainPop) pops
+// the primary's mailbox, else drains every attached ring, running a frame
+// for the primary without a mailbox hop and pushing frames for co-hosted
+// ranks into their mailboxes; with nothing found it polls for
+// kReceivePollWindow and then parks on the segment doorbell, which every
+// ring write and every push into the primary's mailbox knocks. The
+// drainer never blocks while its rings hold bytes: it keeps draining while
+// it waits for its agent lock (Progress, called by runtime::Runtime), a
+// link lock (SendData), or space in a peer's full ring (ShmTransport::
+// WriteFrame). Other ranks' dispatchers pop their mailboxes as before, and
+// so does every dispatcher without a segment (shm off or a single-process
+// mesh). The reactor threads serve TCP either way.
 #pragma once
 
 #include <atomic>
@@ -316,15 +332,33 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   // ---- runtime::MailboxTransport ----
 
+  /// With a shm segment, the primary rank's WaitPop is the drainer
+  /// (DrainPop); every other rank pops its mailbox.
   bool WaitPop(net::NodeId node, net::Packet& out) override {
     CheckLocal(node);
+    if (DrainsOnWait(node)) return DrainPop(out);
     return mailboxes_[node - options_.rank].WaitPop(out);
   }
 
+  bool DrainsOnWait(net::NodeId node) const override {
+    return shm_ != nullptr && node == options_.rank;
+  }
+
+  /// One pass over the shm rings; yields when it found nothing.
+  void Progress(net::NodeId node) override;
+
   void Dispatch(net::Packet&& packet) override;
 
+  /// Also rings the shm doorbell, on which the primary's drainer parks.
   void CloseAll() override {
     for (runtime::Channel& m : mailboxes_) m.Close();
+    if (shm_ != nullptr) shm_->Knock();
+  }
+
+  /// Times the primary's drainer parked on the shm doorbell (0 without a
+  /// segment).
+  std::uint64_t drain_parks() const {
+    return shm_ != nullptr ? shm_->parks() : 0;
   }
 
   std::uint64_t enqueued() const override {
@@ -435,6 +469,18 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// nest), control to the registered handler as the peer's primary rank.
   /// Dies on malformed or misrouted input.
   void HandleFrame(std::size_t group, const Buf& frame, bool allow_batch);
+  /// Decodes and validates one inbound data frame into a packet for a
+  /// local rank, counting it received and enqueued. Dies on bad input.
+  net::Packet DecodeData(std::size_t group, const Buf& frame);
+  /// The shm receive handler (drainer thread): fills DrainPop's slot with
+  /// the first packet for the primary, delivers everything else.
+  void OnRingFrame(std::size_t group, const Buf& frame);
+  /// Pushes a packet into its rank's mailbox; a push to the primary also
+  /// knocks the shm doorbell.
+  void Deliver(net::Packet&& packet);
+  /// The primary's WaitPop on a shm mesh: pops its mailbox, else drains
+  /// the rings, polls for kReceivePollWindow, then parks on the doorbell.
+  bool DrainPop(net::Packet& out);
   /// Heartbeat tick: drains the timerfd and probes every owned live peer.
   void OnTimer(IoThread& t);
   /// Retires a mid-run-failed link: drops its queue, leaves the epoll set,
@@ -499,11 +545,13 @@ class SocketTransport final : public runtime::MailboxTransport {
   // concurrently with the quiescent-point reset).
   std::unique_ptr<std::atomic<std::uint64_t>[]> mailbox_overflow_base_;
   // Pooled receive buffers, shared by the reactor read path and the shm
-  // reader (BufferPool is thread-safe; buffers recycle on payload release).
+  // drainer (BufferPool is thread-safe; buffers recycle on payload release).
   BufferPool rx_pool_;
   // This process's shm segment (null: disabled, setup failed, or single-
-  // process mesh). Created in Start(), before the connector can handshake.
+  // process mesh). Created in the constructor, before any dispatcher runs.
   std::unique_ptr<ShmTransport> shm_;
+  // DrainPop's output while it drains; drainer thread only.
+  net::Packet* drain_slot_ = nullptr;
   std::uint64_t host_id_ = 0;
   // Wire-write syscall latency, recorded by reactor threads (which never
   // hold an agent lock) — hence its own mutex, merged at snapshot time.

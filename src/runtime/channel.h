@@ -219,11 +219,12 @@ class Channel {
   /// condvar block costs a scheduler wake (tens of microseconds) — the same
   /// order as a modeled message latency, which would distort
   /// measured-vs-modeled comparisons. A short bounded spin absorbs the
-  /// common case; idle dispatchers still park on the condvar. The mesh's
-  /// process-level receivers (shm reader, reactor threads) poll longer,
-  /// netio::kReceivePollWindow (netio/poll_window.h): one receiver per
-  /// process waits out whole round trips, while a dispatcher per rank only
-  /// bridges the gap between its receiver's pushes.
+  /// common case; idle dispatchers still park on the condvar. A mesh
+  /// process's primary dispatcher with shm rings never calls this: it
+  /// polls TryPop and its rings itself for netio::kReceivePollWindow and
+  /// parks on the ring doorbell (netio/socket_transport.h, DrainPop). The
+  /// reactor threads poll as long: they wait out whole round trips, while
+  /// the dispatchers here only bridge the gap between their pushes.
   bool WaitPop(net::Packet& out) {
     const auto spin_deadline =
         std::chrono::steady_clock::now() + std::chrono::microseconds(20);
@@ -272,10 +273,12 @@ class Channel {
     return overflow_allocs_.load(std::memory_order_relaxed);
   }
 
- private:
-  /// Single consumer: ring strictly first, overflow only once the ring is
-  /// fully drained (see the class comment for why that ordering is what
-  /// preserves per-sender FIFO).
+  bool closed() const { return closed_.load(std::memory_order_acquire); }
+
+  /// Single consumer, non-blocking: the next packet if one is published.
+  /// Ring strictly first, overflow only once the ring is fully drained
+  /// (see the class comment for why that ordering is what preserves
+  /// per-sender FIFO).
   bool TryPop(net::Packet& out) {
     for (;;) {
       if (ring_.TryPop(out)) return true;
@@ -307,6 +310,7 @@ class Channel {
     return true;
   }
 
+ private:
   /// Producer-side wake: only touches the mutex when the consumer is
   /// (about to be) parked, so the hot path stays lock-free.
   void Knock() {

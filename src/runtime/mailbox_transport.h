@@ -8,10 +8,13 @@
 //
 //   * runtime::ChannelTransport — the in-process threads backend: every
 //     cluster node lives in this process and has its own mailbox.
-//   * netio::SocketTransport — the multi-process sockets backend: exactly
-//     one node (this process's rank) is local; remote nodes are reached
-//     over TCP, and the reader threads feed received packets into the
-//     local mailbox.
+//   * netio::SocketTransport — the multi-process sockets backend: the
+//     process hosts one or more consecutive ranks; remote nodes are
+//     reached over TCP or same-host shm rings. The reactor threads feed
+//     TCP packets into the local mailboxes, and the primary rank's
+//     dispatcher drains the shm rings itself from inside its WaitPop
+//     (DrainsOnWait) — so that thread must never block while the rings
+//     hold bytes, which is what Progress is for.
 //
 // The enqueued/dispatched counters cover every packet that enters a
 // *local* mailbox (self-sends included); `enqueued() == dispatched()` with
@@ -29,6 +32,19 @@ class MailboxTransport : public net::Transport {
   /// Blocks for the next packet addressed to `node` (which must be hosted
   /// by this process); returns false once the mailbox is closed.
   virtual bool WaitPop(net::NodeId node, net::Packet& out) = 0;
+
+  /// True when WaitPop(node) also drains a receive path that other
+  /// processes wait on. Such a dispatcher must not block on the agent
+  /// lock: it calls Progress until the lock is free. Settled at
+  /// construction, before any dispatcher starts.
+  virtual bool DrainsOnWait(net::NodeId node) const {
+    (void)node;
+    return false;
+  }
+
+  /// One non-blocking receive pass on `node`'s draining thread (only
+  /// called when DrainsOnWait(node)).
+  virtual void Progress(net::NodeId node) { (void)node; }
 
   /// Delivers one popped packet: receive-side accounting plus the
   /// registered handler. Must be called under the destination node's agent

@@ -5,7 +5,9 @@
 // execution is real:
 //
 //   * every node has a *dispatcher* std::thread draining its mailbox and
-//     running the agent's message handlers;
+//     running the agent's message handlers (on a shm mesh the primary
+//     rank's dispatcher also drains its process's rings; see
+//     mailbox_transport.h);
 //   * application workers are plain std::threads that enter the blocking
 //     Agent API through a Guest context bound to one node;
 //   * one mutex per node (the "agent lock") serializes all access to that
@@ -21,6 +23,7 @@
 // tests assert that a scenario's checksum is identical on both backends.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,6 +130,10 @@ class Runtime {
   /// clock (under its agent lock). Returns true if any node's counters
   /// moved since the previous call. The first call only primes baselines.
   bool SampleTimeseries();
+
+  /// Runs `fn` under `node`'s agent lock — the lock every send from that
+  /// node runs under (guest operations and dispatched handlers alike).
+  void WithAgentLock(dsm::NodeId node, const std::function<void()>& fn);
 
   /// Closes the mailboxes and joins the dispatcher threads. Idempotent;
   /// the destructor calls it. All guests must be done first.

@@ -13,9 +13,9 @@
 // assert the claim instead of trusting it.
 //
 // Concurrency: Acquire/Wrap may be called from any thread; the freelist is
-// mutex-guarded (uncontended in practice — one reactor or reader thread per
-// pool fills, consumers only touch it through the deleter when a payload
-// dies). The pool may be destroyed while wrapped Bufs are still alive:
+// mutex-guarded (uncontended in practice — a process's reactor threads and
+// its shm-draining dispatcher fill it, consumers only touch it through the
+// deleter when a payload dies). The pool may be destroyed while wrapped Bufs are still alive:
 // deleters share ownership of the freelist state and simply free the
 // storage once the pool itself is gone or full.
 #pragma once
