@@ -26,7 +26,8 @@
 // futexes are pure sleep/wake.
 //
 // Receive side: no thread of its own. The segment owner's *drainer* —
-// the primary rank's dispatcher (netio/socket_transport.h) — calls Drain()
+// the primary rank's dispatcher once a link has a ring
+// (netio/socket_transport.h) — calls Drain()
 // between mailbox pops, so a frame is decoded and handled on the thread
 // that runs its handler, with no hand-off in between. When both its
 // mailbox and its rings are empty it polls for kReceivePollWindow

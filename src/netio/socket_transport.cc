@@ -98,7 +98,13 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     } else {
       shm_->SetReceiver(
           [this](std::size_t src_group, Buf frame) {
-            OnRingFrame(src_group, frame);
+            FrameType type;
+            if (!PeekType(frame.span(), &type) ||
+                type != FrameType::kData) {
+              Die("non-data frame on the shm ring from process " +
+                  std::to_string(src_group));
+            }
+            HandleFrame(src_group, frame, /*allow_batch=*/false);
           },
           [this](const std::string& why) { Die(why); }, &rx_pool_,
           // Drain gate: ring bytes wait until this process adopted the
@@ -351,11 +357,19 @@ void SocketTransport::RegisterPeer(std::size_t group, Fd fd,
   ev.data.u64 = static_cast<std::uint64_t>(group);
   HMDSM_CHECK(::epoll_ctl(io_[peer.io_thread].epoll.get(), EPOLL_CTL_ADD,
                           peer.fd.get(), &ev) == 0);
+  const bool ring_link = shm_ != nullptr && !peer_shm_name.empty();
+  // The peer negotiated the ring too, so it writes ours from now on: the
+  // primary's dispatcher becomes the drainer (DrainPop). The flag only
+  // ever goes false -> true.
+  if (ring_link) rings_live_.store(true, std::memory_order_release);
   peer.registered.store(true, std::memory_order_release);
-  // Drain leaves this ring alone while `registered` is false; wake the
-  // drainer so ring bytes that raced the handshake drain now rather than
-  // at the park backstop.
-  if (shm_ != nullptr) shm_->Knock();
+  if (ring_link) {
+    // Release a dispatcher still parked on its mailbox, and wake a parked
+    // drainer: Drain left this ring alone while `registered` was false, so
+    // ring bytes that raced the handshake drain now, not at the backstop.
+    mailboxes_.front().Interrupt();
+    shm_->Knock();
+  }
   // Frames enqueued before the handshake completed have been waiting for
   // exactly this moment.
   bool pending;
@@ -621,7 +635,25 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     Die("unknown frame type from process " + std::to_string(group));
   }
   if (type == FrameType::kData) {
-    Deliver(DecodeData(group, frame));
+    DataFrame data;
+    if (!TryDecode(frame, &data, &error)) {
+      Die("malformed data frame from process " + std::to_string(group) +
+          ": " + error);
+    }
+    if (data.src >= options_.peers.size() || GroupOf(data.src) != group ||
+        !is_local(data.dst)) {
+      Die("misrouted data frame from process " + std::to_string(group) +
+          " (claims " + std::to_string(data.src) + "->" +
+          std::to_string(data.dst) + ")");
+    }
+    wire_received_.fetch_add(1, std::memory_order_acq_rel);
+    // Count before the push, exactly like the channel transport: once the
+    // dispatcher can see the packet, enqueued() must already cover it.
+    enqueued_.fetch_add(1, std::memory_order_acq_rel);
+    net::Packet packet{data.src, data.dst, data.cat,
+                       std::move(data.payload)};
+    packet.enqueued_at = Now();
+    Deliver(std::move(packet));
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
     if (!allow_batch || !TryDecodeBatch(frame, &inner, &error)) {
@@ -668,67 +700,33 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
   }
 }
 
-net::Packet SocketTransport::DecodeData(std::size_t group, const Buf& frame) {
-  std::string error;
-  DataFrame data;
-  if (!TryDecode(frame, &data, &error)) {
-    Die("malformed data frame from process " + std::to_string(group) + ": " +
-        error);
-  }
-  if (data.src >= options_.peers.size() || GroupOf(data.src) != group ||
-      !is_local(data.dst)) {
-    Die("misrouted data frame from process " + std::to_string(group) +
-        " (claims " + std::to_string(data.src) + "->" +
-        std::to_string(data.dst) + ")");
-  }
-  wire_received_.fetch_add(1, std::memory_order_acq_rel);
-  // Count before the dispatcher can see the packet, exactly like the
-  // channel transport: enqueued() must already cover it.
-  enqueued_.fetch_add(1, std::memory_order_acq_rel);
-  net::Packet packet{data.src, data.dst, data.cat, std::move(data.payload)};
-  packet.enqueued_at = Now();
-  return packet;
-}
-
-void SocketTransport::OnRingFrame(std::size_t group, const Buf& frame) {
-  FrameType type;
-  if (!PeekType(frame.span(), &type) || type != FrameType::kData)
-    Die("non-data frame on the shm ring from process " + std::to_string(group));
-  net::Packet packet = DecodeData(group, frame);
-  if (drain_slot_ != nullptr && packet.dst == options_.rank) {
-    // DrainPop is waiting for exactly this: hand the packet straight to
-    // the dispatcher. Later frames of the same pass queue behind it in the
-    // mailbox, which DrainPop pops before it drains again.
-    *drain_slot_ = std::move(packet);
-    drain_slot_ = nullptr;
-    return;
-  }
-  Deliver(std::move(packet));
-}
-
 void SocketTransport::Deliver(net::Packet&& packet) {
   const std::size_t i = packet.dst - options_.rank;
   mailboxes_[i].Push(std::move(packet));
-  // The primary's dispatcher parks on the shm doorbell, not on its mailbox.
-  if (i == 0 && shm_ != nullptr) shm_->Knock();
+  // Once rings are live the primary's dispatcher parks on the shm
+  // doorbell, not on its mailbox.
+  if (i == 0 && rings_live_.load(std::memory_order_acquire)) shm_->Knock();
 }
 
 bool SocketTransport::DrainPop(net::Packet& out) {
   runtime::Channel& mailbox = mailboxes_.front();
+  // Until a link negotiates a ring nothing writes ours: wait on the mailbox
+  // like every other rank. RegisterPeer interrupts that wait when the
+  // first ring link comes up.
+  while (!rings_live_.load(std::memory_order_acquire)) {
+    if (mailbox.WaitPop(out)) return true;
+    if (mailbox.closed()) return false;
+  }
   // A handler just ran, and its reply usually lands within a round trip:
-  // poll a whole window before parking.
+  // poll a whole window before parking. A pass that moved bytes may have
+  // filled the mailbox, so it is popped again at once.
   PollWindow window;
   window.Busy();
   for (;;) {
     const std::uint32_t seen = shm_->Doorbell();
     if (mailbox.closed()) return false;
     if (mailbox.TryPop(out)) return true;
-    drain_slot_ = &out;
-    const bool moved = shm_->Drain();
-    const bool got = drain_slot_ == nullptr;
-    drain_slot_ = nullptr;
-    if (got) return true;
-    if (moved) {
+    if (shm_->Drain()) {
       window.Busy();
     } else if (!window.YieldWithin()) {
       shm_->Park(seen);

@@ -47,10 +47,8 @@
 //     and data packets are pushed into the destination rank's mailbox —
 //     the same mailbox local sends use, so delivery order is whatever that
 //     rank's single dispatcher pops, and a self-send is never re-entrant.
-//     The one exception is a shm frame for the primary rank, which its own
-//     dispatcher decodes and runs directly (below). Payloads are aliased
-//     views of the received wire frame (util::Buf), never re-copied
-//     between the wire and the handler.
+//     Payloads are aliased views of the received wire frame (util::Buf),
+//     never re-copied between the wire and the handler.
 //   * Statistics live in the local ranks' recorders only (send half at
 //     Send, receive half at Dispatch); cluster totals are gathered over
 //     control frames by the netio::Coordinator at the end of a run.
@@ -82,19 +80,20 @@
 // time: if the TCP queue already holds data frames when shm comes up, the
 // link simply stays on TCP — never reorder, just decline.
 //
-// Thread layout on a shm mesh: no thread reads the rings on the side. The
-// primary rank's dispatcher is the drainer — its WaitPop (DrainPop) pops
-// the primary's mailbox, else drains every attached ring, running a frame
-// for the primary without a mailbox hop and pushing frames for co-hosted
-// ranks into their mailboxes; with nothing found it polls for
-// kReceivePollWindow and then parks on the segment doorbell, which every
-// ring write and every push into the primary's mailbox knocks. The
-// drainer never blocks while its rings hold bytes: it keeps draining while
-// it waits for its agent lock (Progress, called by runtime::Runtime), a
-// link lock (SendData), or space in a peer's full ring (ShmTransport::
-// WriteFrame). Other ranks' dispatchers pop their mailboxes as before, and
-// so does every dispatcher without a segment (shm off or a single-process
-// mesh). The reactor threads serve TCP either way.
+// Thread layout on a shm mesh: no thread reads the rings on the side. Once
+// a link negotiates a ring, the primary rank's dispatcher is the drainer —
+// its WaitPop (DrainPop) pops the primary's mailbox, else drains every
+// attached ring into the mailboxes of the ranks the frames are for (its
+// own included, popped again at once, on the same thread); with nothing
+// found it polls for kReceivePollWindow and then parks on the segment
+// doorbell, which every ring write and every push into the primary's
+// mailbox knocks. The drainer never blocks while its rings hold bytes: it
+// keeps draining while it waits for its agent lock (Progress, called by
+// runtime::Runtime), a link lock (SendData), or space in a peer's full
+// ring (ShmTransport::WriteFrame). Other ranks' dispatchers pop their
+// mailboxes as before, and so does the primary's until a ring link comes
+// up — for the whole run when every link stays on TCP (shm off, another
+// host, a single-process mesh). The reactor threads serve TCP either way.
 #pragma once
 
 #include <atomic>
@@ -332,16 +331,19 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   // ---- runtime::MailboxTransport ----
 
-  /// With a shm segment, the primary rank's WaitPop is the drainer
-  /// (DrainPop); every other rank pops its mailbox.
+  /// With a shm segment, the primary rank's WaitPop is DrainPop, which
+  /// becomes the drainer once a ring link is up; every other rank pops its
+  /// mailbox.
   bool WaitPop(net::NodeId node, net::Packet& out) override {
     CheckLocal(node);
-    if (DrainsOnWait(node)) return DrainPop(out);
+    if (shm_ != nullptr && node == options_.rank) return DrainPop(out);
     return mailboxes_[node - options_.rank].WaitPop(out);
   }
 
+  /// True for the primary rank from the first ring link on.
   bool DrainsOnWait(net::NodeId node) const override {
-    return shm_ != nullptr && node == options_.rank;
+    return node == options_.rank &&
+           rings_live_.load(std::memory_order_acquire);
   }
 
   /// One pass over the shm rings; yields when it found nothing.
@@ -469,17 +471,12 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// nest), control to the registered handler as the peer's primary rank.
   /// Dies on malformed or misrouted input.
   void HandleFrame(std::size_t group, const Buf& frame, bool allow_batch);
-  /// Decodes and validates one inbound data frame into a packet for a
-  /// local rank, counting it received and enqueued. Dies on bad input.
-  net::Packet DecodeData(std::size_t group, const Buf& frame);
-  /// The shm receive handler (drainer thread): fills DrainPop's slot with
-  /// the first packet for the primary, delivers everything else.
-  void OnRingFrame(std::size_t group, const Buf& frame);
-  /// Pushes a packet into its rank's mailbox; a push to the primary also
-  /// knocks the shm doorbell.
+  /// Pushes a packet into its rank's mailbox; once rings are live, a push
+  /// to the primary also knocks the shm doorbell.
   void Deliver(net::Packet&& packet);
-  /// The primary's WaitPop on a shm mesh: pops its mailbox, else drains
-  /// the rings, polls for kReceivePollWindow, then parks on the doorbell.
+  /// The primary's WaitPop with a shm segment: its mailbox wait until a
+  /// ring link is up; from then on pops its mailbox, else drains the
+  /// rings, polls for kReceivePollWindow, then parks on the doorbell.
   bool DrainPop(net::Packet& out);
   /// Heartbeat tick: drains the timerfd and probes every owned live peer.
   void OnTimer(IoThread& t);
@@ -550,8 +547,9 @@ class SocketTransport final : public runtime::MailboxTransport {
   // This process's shm segment (null: disabled, setup failed, or single-
   // process mesh). Created in the constructor, before any dispatcher runs.
   std::unique_ptr<ShmTransport> shm_;
-  // DrainPop's output while it drains; drainer thread only.
-  net::Packet* drain_slot_ = nullptr;
+  // Some link negotiated a ring, so a peer writes ours: the primary's
+  // dispatcher drains (false -> true once, in RegisterPeer).
+  std::atomic<bool> rings_live_{false};
   std::uint64_t host_id_ = 0;
   // Wire-write syscall latency, recorded by reactor threads (which never
   // hold an agent lock) — hence its own mutex, merged at snapshot time.

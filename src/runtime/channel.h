@@ -211,8 +211,9 @@ class Channel {
   }
 
   /// Blocks until a packet is available or the channel is closed. Returns
-  /// false only when the channel is closed (remaining packets are dropped:
-  /// close means the run is over).
+  /// false when the channel is closed (remaining packets are dropped:
+  /// close means the run is over) or when Interrupt() released a parked
+  /// wait; closed() tells the two apart.
   ///
   /// Spin-then-block: protocol traffic is bursty request/response chains
   /// where the next packet typically lands within microseconds, while a
@@ -220,11 +221,12 @@ class Channel {
   /// order as a modeled message latency, which would distort
   /// measured-vs-modeled comparisons. A short bounded spin absorbs the
   /// common case; idle dispatchers still park on the condvar. A mesh
-  /// process's primary dispatcher with shm rings never calls this: it
-  /// polls TryPop and its rings itself for netio::kReceivePollWindow and
-  /// parks on the ring doorbell (netio/socket_transport.h, DrainPop). The
-  /// reactor threads poll as long: they wait out whole round trips, while
-  /// the dispatchers here only bridge the gap between their pushes.
+  /// process's primary dispatcher stops calling this once a shm ring link
+  /// is up: it then polls TryPop and its rings itself for
+  /// netio::kReceivePollWindow and parks on the ring doorbell
+  /// (netio/socket_transport.h, DrainPop). The reactor threads poll as
+  /// long: they wait out whole round trips, while the dispatchers here
+  /// only bridge the gap between their pushes.
   bool WaitPop(net::Packet& out) {
     const auto spin_deadline =
         std::chrono::steady_clock::now() + std::chrono::microseconds(20);
@@ -247,7 +249,8 @@ class Channel {
       }
       {
         std::unique_lock lock(mu_);
-        if (closed_.load(std::memory_order_relaxed)) {
+        if (closed_.load(std::memory_order_relaxed) || interrupted_) {
+          interrupted_ = false;
           waiting_.store(false, std::memory_order_relaxed);
           return false;
         }
@@ -257,6 +260,16 @@ class Channel {
       }
       waiting_.store(false, std::memory_order_relaxed);
     }
+  }
+
+  /// Makes the consumer's parked WaitPop — or its next one to park —
+  /// return false without a packet, so it can switch to another wait.
+  void Interrupt() {
+    {
+      std::lock_guard lock(mu_);
+      interrupted_ = true;
+    }
+    cv_.notify_all();
   }
 
   void Close() {
@@ -344,6 +357,7 @@ class Channel {
   OvNode* ov_tail_ = nullptr;
   OvNode* free_ = nullptr;  // recycled nodes, bounded by kMaxFreeNodes
   std::size_t free_count_ = 0;
+  bool interrupted_ = false;  // guarded by mu_
   std::atomic<std::uint64_t> overflow_allocs_{0};
 };
 

@@ -11,10 +11,10 @@
 //   * netio::SocketTransport — the multi-process sockets backend: the
 //     process hosts one or more consecutive ranks; remote nodes are
 //     reached over TCP or same-host shm rings. The reactor threads feed
-//     TCP packets into the local mailboxes, and the primary rank's
-//     dispatcher drains the shm rings itself from inside its WaitPop
-//     (DrainsOnWait) — so that thread must never block while the rings
-//     hold bytes, which is what Progress is for.
+//     TCP packets into the local mailboxes; once a shm ring link is up,
+//     the primary rank's dispatcher drains the rings itself from inside
+//     its WaitPop (DrainsOnWait) — so that thread must never block while
+//     the rings hold bytes, which is what Progress is for.
 //
 // The enqueued/dispatched counters cover every packet that enters a
 // *local* mailbox (self-sends included); `enqueued() == dispatched()` with
@@ -35,8 +35,9 @@ class MailboxTransport : public net::Transport {
 
   /// True when WaitPop(node) also drains a receive path that other
   /// processes wait on. Such a dispatcher must not block on the agent
-  /// lock: it calls Progress until the lock is free. Settled at
-  /// construction, before any dispatcher starts.
+  /// lock: it calls Progress until the lock is free. May turn true after
+  /// the dispatchers start (SocketTransport: when the first shm ring link
+  /// comes up), never back to false, so the dispatcher asks per packet.
   virtual bool DrainsOnWait(net::NodeId node) const {
     (void)node;
     return false;

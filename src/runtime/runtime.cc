@@ -63,31 +63,25 @@ void Runtime::Init() {
 Runtime::~Runtime() { Shutdown(); }
 
 void Runtime::DispatchLoop(dsm::NodeId node) {
-  // A dispatcher that drains its process's shm rings keeps draining while
-  // it waits for the agent lock: the guest holding it may be blocked
-  // writing into a peer's full ring, and that peer's drainer may in turn
-  // wait for room in ours.
-  const bool drains = transport_.DrainsOnWait(node);
   net::Packet packet;
   while (transport_.WaitPop(node, packet)) {
     // Injected Hockney delay first, outside the agent lock: a delivery
     // sleeping toward its deadline must not block the node's guests.
     transport_.AwaitDeliveryTime(packet);
     // The agent lock serializes this handler against the node's guests
-    // (and is the lock their Park waits release).
+    // (and is the lock their Park waits release). A dispatcher that drains
+    // its process's shm rings keeps draining while it waits: the guest
+    // holding the lock may be blocked writing into a peer's full ring, and
+    // that peer's drainer may in turn wait for room in ours. Asked per
+    // packet, since the rings come up after the dispatchers start.
     std::unique_lock lock(cells_[node]->mu, std::defer_lock);
-    if (drains) {
+    if (transport_.DrainsOnWait(node)) {
       while (!lock.try_lock()) transport_.Progress(node);
     } else {
       lock.lock();
     }
     transport_.Dispatch(std::move(packet));
   }
-}
-
-void Runtime::WithAgentLock(dsm::NodeId node, const std::function<void()>& fn) {
-  std::lock_guard lock(cell(node).mu);
-  fn();
 }
 
 dsm::ObjectId Runtime::NewObjectId(dsm::NodeId initial_home,

@@ -23,7 +23,6 @@
 // tests assert that a scenario's checksum is identical on both backends.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -131,16 +130,15 @@ class Runtime {
   /// moved since the previous call. The first call only primes baselines.
   bool SampleTimeseries();
 
-  /// Runs `fn` under `node`'s agent lock — the lock every send from that
-  /// node runs under (guest operations and dispatched handlers alike).
-  void WithAgentLock(dsm::NodeId node, const std::function<void()>& fn);
-
   /// Closes the mailboxes and joins the dispatcher threads. Idempotent;
   /// the destructor calls it. All guests must be done first.
   void Shutdown();
 
  private:
   friend class Guest;
+  /// Test-only seam: lets a test hold a hosted node's agent lock while it
+  /// sends, as a guest operation does (tests/netio_drain_test.cc).
+  friend struct AgentLockForTest;
 
   /// One node: the agent plus the lock that serializes all access to it.
   struct NodeCell {

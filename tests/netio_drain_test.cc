@@ -1,6 +1,6 @@
 // The primary rank's dispatcher drains its process's shm rings itself
-// (netio/socket_transport.h, "Thread layout on a shm mesh"). Two
-// properties keep that design correct and fast:
+// once a ring link is up (netio/socket_transport.h, "Thread layout on a
+// shm mesh"). These properties keep that design correct and fast:
 //
 //   * liveness: the drainer never blocks while its rings hold bytes — not
 //     while it waits for its agent lock (Runtime::DispatchLoop drains
@@ -13,7 +13,9 @@
 //     if any of these rules is broken;
 //   * prompt wake-up: a parked drainer also waits on its mailbox, so every
 //     push into it — a self-send, a co-hosted rank's send — knocks the
-//     ring doorbell instead of waiting out the futex backstop.
+//     ring doorbell instead of waiting out the futex backstop;
+//   * no cost without rings: while no link has a ring, the primary keeps
+//     the mailbox wait every other rank uses.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,18 @@
 #include "src/runtime/runtime.h"
 #include "src/util/check.h"
 #include "src/util/serde.h"
+
+namespace hmdsm::runtime {
+
+/// A hosted node's agent lock: the lock every send from that node runs
+/// under, guest operations and dispatched handlers alike.
+struct AgentLockForTest {
+  static std::mutex& Of(Runtime& rt, dsm::NodeId node) {
+    return rt.cell(node).mu;
+  }
+};
+
+}  // namespace hmdsm::runtime
 
 namespace hmdsm::netio {
 namespace {
@@ -45,10 +60,12 @@ bool WaitUntil(F done, std::chrono::milliseconds limit) {
 }
 
 /// One transport per process of a `ranks`-rank localhost mesh with
-/// `ranks_per_proc` ranks each and shm on, wired like the conformance
-/// suite (pre-bound ephemeral listeners, everything in this process).
+/// `ranks_per_proc` ranks each and shm on (off in the last process unless
+/// `shm_everywhere`), wired like the conformance suite (pre-bound
+/// ephemeral listeners, everything in this process).
 std::vector<std::unique_ptr<SocketTransport>> MakeMesh(
-    std::size_t ranks, std::size_t ranks_per_proc, std::size_t ring_bytes) {
+    std::size_t ranks, std::size_t ranks_per_proc, std::size_t ring_bytes,
+    bool shm_everywhere = true) {
   const std::size_t procs = (ranks + ranks_per_proc - 1) / ranks_per_proc;
   std::vector<int> fds;
   std::vector<std::string> ports;
@@ -72,6 +89,7 @@ std::vector<std::unique_ptr<SocketTransport>> MakeMesh(
     o.io_threads = 1;
     o.listen_fd = fds[p];
     o.shm_ring_bytes = ring_bytes;
+    o.shm = shm_everywhere || p + 1 < procs;
     mesh.push_back(std::make_unique<SocketTransport>(o));
   }
   return mesh;
@@ -167,10 +185,10 @@ void RunFullRings(std::size_t ranks_per_proc) {
     workers.emplace_back([&, p] {
       Proc& me = procs[p];
       for (std::uint64_t i = 0; i < kWorkerFrames; ++i) {
-        rts[p]->WithAgentLock(me.worker, [&] {
-          mesh[p]->Send(me.worker, me.peer, stats::MsgCat::kObj,
-                        Frame(me.next_seq[me.worker]++, kFromWorker));
-        });
+        std::lock_guard lock(runtime::AgentLockForTest::Of(*rts[p],
+                                                            me.worker));
+        mesh[p]->Send(me.worker, me.peer, stats::MsgCat::kObj,
+                      Frame(me.next_seq[me.worker]++, kFromWorker));
       }
     });
   }
@@ -227,11 +245,13 @@ TEST(ShmDrain, ParkedDrainerWakesPromptlyForLocalSends) {
   mesh[0]->SetHandler(1, [](net::Packet) {});
   mesh[1]->SetHandler(2, [](net::Packet) {});
   mesh[1]->SetHandler(3, [](net::Packet) {});
-  Connect(mesh);
+  // Started before the mesh, as runtime::Runtime does: the dispatcher
+  // waits on its mailbox until the ring link comes up and releases it.
   std::thread dispatcher([&] {
     net::Packet p;
     while (mesh[0]->WaitPop(0, p)) mesh[0]->Dispatch(std::move(p));
   });
+  Connect(mesh);
 
   constexpr int kTrips = 20;
   for (const net::NodeId src : {net::NodeId{0}, net::NodeId{1}}) {
@@ -252,6 +272,43 @@ TEST(ShmDrain, ParkedDrainerWakesPromptlyForLocalSends) {
     // A missed knock costs the full backstop: 20 trips would take >= 1 s.
     EXPECT_LT(total, 250ms) << "sender rank " << src;
   }
+  mesh[0]->CloseAll();
+  dispatcher.join();
+  Teardown(mesh);
+}
+
+TEST(ShmDrain, PrimaryKeepsItsMailboxWaitWhileNoLinkHasARing) {
+  // Process 0 creates a segment but process 1 has shm off, so the link
+  // stays on TCP and nothing ever writes process 0's rings. Rank 0's
+  // dispatcher must keep the plain mailbox wait: frames arrive, and it
+  // never polls the rings or parks on their doorbell.
+  auto mesh = MakeMesh(2, 1, 256 * 1024, /*shm_everywhere=*/false);
+  std::atomic<std::uint64_t> delivered{0};
+  mesh[0]->SetHandler(0, [&](net::Packet) {
+    delivered.fetch_add(1, std::memory_order_release);
+  });
+  mesh[1]->SetHandler(1, [](net::Packet) {});
+  std::thread dispatcher([&] {
+    net::Packet p;
+    while (mesh[0]->WaitPop(0, p)) mesh[0]->Dispatch(std::move(p));
+  });
+  for (auto& t : mesh) t->Start();
+  for (auto& t : mesh) t->AwaitConnected();
+  ASSERT_TRUE(mesh[0]->shm_active());
+  for (const LinkStats& link : mesh[0]->LinkSnapshots())
+    EXPECT_FALSE(link.shm);
+
+  for (int i = 0; i < 20; ++i) {
+    const Byte b[1] = {static_cast<Byte>(i)};
+    const net::NodeId src = i % 2 == 0 ? 1 : 0;  // TCP and self-send
+    mesh[src]->Send(src, 0, stats::MsgCat::kObj, Buf::Copy(ByteSpan(b, 1)));
+    ASSERT_TRUE(WaitUntil(
+        [&] { return delivered.load() >= static_cast<std::uint64_t>(i + 1); },
+        5000ms));
+    std::this_thread::sleep_for(1ms);  // past any poll window
+  }
+  EXPECT_FALSE(mesh[0]->DrainsOnWait(0));
+  EXPECT_EQ(mesh[0]->drain_parks(), 0u);
   mesh[0]->CloseAll();
   dispatcher.join();
   Teardown(mesh);
