@@ -142,30 +142,6 @@ void Coordinator::OnControlFrame(net::NodeId src, ByteSpan frame) {
       cv_.notify_all();
       return;
     }
-    case FrameType::kStatsRequest: {
-      StatsRequestFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      // Close the final (partial) sampling window before snapshotting, so
-      // the gathered series covers the run right up to the gather.
-      runtime_.SampleTimeseries();
-      // All locally hosted ranks merged (Totals takes each agent lock, so
-      // it is consistent even against a straggling handler — the lead
-      // quiesces first anyway).
-      StatsReplyFrame reply;
-      reply.tag = f.tag;
-      reply.node = transport_.rank();
-      reply.recorder = runtime_.Totals();
-      transport_.SendControl(src, Encode(reply));
-      return;
-    }
-    case FrameType::kStatsReply: {
-      StatsReplyFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      if (f.tag == stats_tag_) stats_replies_[src] = std::move(f.recorder);
-      cv_.notify_all();
-      return;
-    }
     case FrameType::kResetStats: {
       ResetStatsFrame f;
       if (!TryDecode(frame, &f, &error)) break;
@@ -213,17 +189,12 @@ void Coordinator::OnControlFrame(net::NodeId src, ByteSpan frame) {
     case FrameType::kStatsPoll: {
       StatsPollFrame f;
       if (!TryDecode(frame, &f, &error)) break;
-      // Best-effort mid-run snapshot, answered from reader context like a
-      // quiescence probe (the snapshot briefly takes the agent lock). The
-      // poll doubles as this rank's time-series clock: close one counter
-      // window first so the snapshot carries the fresh sample to the lead.
-      runtime_.SampleTimeseries();
-      StatsPollReplyFrame reply;
-      reply.seq = f.seq;
-      reply.node = transport_.rank();
-      reply.now_ns = static_cast<std::uint64_t>(transport_.Now());
-      reply.recorder = runtime_.Totals();  // all locally hosted ranks
-      transport_.SendControl(src, Encode(reply));
+      // Answered from reader context like a quiescence probe (the snapshot
+      // briefly takes each agent lock, so it is consistent even against a
+      // straggling handler). The poll doubles as this rank's time-series
+      // clock, so the reply carries a freshly closed window.
+      transport_.SendControl(
+          src, Encode(StatsPollReplyFrame{f.seq, LocalSnapshot()}));
       return;
     }
     case FrameType::kStatsPollReply: {
@@ -232,12 +203,11 @@ void Coordinator::OnControlFrame(net::NodeId src, ByteSpan frame) {
       std::lock_guard lock(mu_);
       // Every reply refreshes that process's cached snapshot — a late
       // answer to an old poll is still its newest counters, and the merge
-      // calls it out as stale rather than dropping it. Only a reply to
-      // the current round counts as answered.
+      // calls it out as stale rather than dropping it. A poll counts as
+      // answered once this reply's seq reaches it (AnsweredSince).
       const auto it = poll_latest_.find(src);
       if (it == poll_latest_.end() || f.seq >= it->second.seq)
-        poll_latest_[src] = f;
-      if (f.seq == poll_seq_) poll_replies_[src] = std::move(f);
+        poll_latest_[src] = std::move(f);
       cv_.notify_all();
       return;
     }
@@ -436,25 +406,34 @@ void Coordinator::GlobalQuiesce() {
   }
 }
 
+std::size_t Coordinator::AnsweredSince(std::uint64_t seq) const {
+  return static_cast<std::size_t>(
+      std::count_if(poll_latest_.begin(), poll_latest_.end(),
+                    [&](const auto& e) { return e.second.seq >= seq; }));
+}
+
+stats::Recorder Coordinator::LocalSnapshot() {
+  runtime_.SampleTimeseries();
+  return runtime_.Totals();
+}
+
 stats::Recorder Coordinator::GatherStats() {
   HMDSM_CHECK(is_lead());
-  // One StatsReply per remote *process*, each already a merge of all the
-  // ranks that process hosts.
+  // One reply per remote *process*, each already a merge of all the ranks
+  // that process hosts. A reply to a later live poll serves as well: it is
+  // a later snapshot of the same process.
   const std::size_t others = transport_.process_count() - 1;
   stats::Recorder total;
   total.SetNodeCount(transport_.node_count());
   std::unique_lock lock(mu_);
-  const std::uint64_t tag = ++stats_tag_;
-  stats_replies_.clear();
-  transport_.BroadcastControl(Encode(StatsRequestFrame{tag}));
-  WaitFor(lock, [&] { return stats_replies_.size() == others; },
+  const std::uint64_t seq = ++poll_seq_;
+  transport_.BroadcastControl(Encode(StatsPollFrame{seq}));
+  WaitFor(lock, [&] { return AnsweredSince(seq) == others; },
           "stats replies");
-  for (const auto& [rank, recorder] : stats_replies_) total.Merge(recorder);
+  for (const auto& [primary, reply] : poll_latest_)
+    total.Merge(reply.recorder);
   lock.unlock();
-  // Same final-window close for the lead's own series as the StatsRequest
-  // handler performs on every other process.
-  runtime_.SampleTimeseries();
-  total.Merge(runtime_.Totals());
+  total.Merge(LocalSnapshot());
   return total;
 }
 
@@ -602,7 +581,6 @@ void Coordinator::PollLoop(double interval_s, PollCursor cursor) {
   std::unique_lock lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval, [&] { return poll_stop_; })) return;
-    poll_replies_.clear();
     const std::uint64_t seq = ++poll_seq_;
     transport_.BroadcastControl(Encode(StatsPollFrame{seq}));
     // Best-effort: a process that cannot answer within a full interval is
@@ -610,7 +588,7 @@ void Coordinator::PollLoop(double interval_s, PollCursor cursor) {
     // the run they observe. Dead processes are not waited for at all.
     cv_.wait_for(lock, interval, [&] {
       return poll_stop_ ||
-             poll_replies_.size() >= others - dead_procs_.size();
+             AnsweredSince(seq) >= others - dead_procs_.size();
     });
     if (poll_stop_) return;
     stats::Recorder total;
@@ -625,14 +603,13 @@ void Coordinator::PollLoop(double interval_s, PollCursor cursor) {
       // Merge the newest snapshot held even when it answered an older
       // round — called out as stale instead of silently folded in.
       total.Merge(it->second.recorder);
-      if (it->second.seq != seq) stale.push_back(r);
+      if (it->second.seq < seq) stale.push_back(r);
     }
-    const std::size_t answered = poll_replies_.size();
+    const std::size_t answered = AnsweredSince(seq);
     lock.unlock();
     const std::vector<LinkStats> links = transport_.LinkSnapshots();
     // The lead has no poll frame to react to — sample its own window here.
-    runtime_.SampleTimeseries();
-    total.Merge(runtime_.Totals());
+    total.Merge(LocalSnapshot());
     const sim::Time now = transport_.Now();
     const std::uint64_t msgs = total.TotalMessages();
     const double rate = cursor.Advance(msgs, now, answered, others);

@@ -17,9 +17,11 @@
 //     idle iff two consecutive probe rounds return identical per-rank
 //     counters with sum(wire_sent) == sum(wire_received) and local
 //     enqueued == dispatched everywhere.
-//   * Stats gather/reset: per-rank recorders are serialized to the lead
-//     for merged reports; reset is quiesce + broadcast + acks, so every
-//     measured-phase message is causally after every rank's reset.
+//   * Stats polls/reset: one StatsPoll round serves both the live metrics
+//     plane (best-effort, on a timer) and the end-of-run gather (waits
+//     for every process); each process answers with its merged recorder.
+//     Reset is quiesce + broadcast + acks, so every measured-phase message
+//     is causally after every rank's reset.
 //   * Shutdown barrier: the lead announces the end of the run, every rank
 //     acks after its local threads finished, and only then do sockets
 //     close — so teardown EOFs are expected goodbyes, not failures.
@@ -105,7 +107,9 @@ class Coordinator {
   /// Blocks until the whole cluster is quiescent (see file comment).
   void GlobalQuiesce();
 
-  /// Gathers every rank's recorder and returns the merged totals.
+  /// Merged totals of every rank: a StatsPoll round that, unlike the live
+  /// poll, waits (with the control timeout) until every remote process has
+  /// answered this poll or a later one. Safe while PollLoop runs.
   stats::Recorder GatherStats();
 
   /// Cluster-wide measurement reset: global quiescence, then every rank
@@ -114,14 +118,14 @@ class Coordinator {
 
   /// Starts the live metrics plane: a lead-side sampler thread broadcasts
   /// a StatsPoll every `interval_s` seconds mid-run, merges the best-effort
-  /// per-rank snapshots, and prints a cluster ops/s line to stderr. Replies
-  /// double as rank heartbeats — a rank that stops answering is called out
-  /// in the sample line (the groundwork for failure detection). Each poll
-  /// also closes one time-series window on every rank (the poll handler
-  /// self-samples before snapshotting), so the sockets backend grows its
-  /// stats::Timeseries at the same cadence as the other backends. No-op
-  /// when interval_s <= 0. Non-empty `poll_out`: StopPolling persists the
-  /// accumulated poll snapshots there as JSON.
+  /// per-rank snapshots, and prints a cluster ops/s line to stderr. A
+  /// process that has not answered within the interval is called out in
+  /// the sample line and merged from its newest earlier snapshot. Each
+  /// poll closes one time-series window on every rank (LocalSnapshot), so
+  /// the sockets backend grows its stats::Timeseries at the same cadence
+  /// as the other backends. No-op when interval_s <= 0. Non-empty
+  /// `poll_out`: StopPolling persists the accumulated poll snapshots there
+  /// as JSON.
   void StartPolling(double interval_s, std::string poll_out = {});
   /// Stops and joins the sampler (idempotent; the destructor calls it).
   /// Must be called before ShutdownMesh so no poll straddles teardown.
@@ -199,6 +203,12 @@ class Coordinator {
   void ReportTransitions(const std::vector<LivenessTransition>& transitions,
                          std::int64_t now_ns);
   void PollLoop(double interval_s, PollCursor cursor);
+  /// Remote processes whose newest reply answers poll `seq` or a later
+  /// one. Caller holds mu_.
+  std::size_t AnsweredSince(std::uint64_t seq) const;
+  /// This process's share of a stats round: closes one time-series window
+  /// on every hosted rank, then merges their recorders.
+  stats::Recorder LocalSnapshot();
 
   /// cv.wait_for with the control-plane timeout; throws CheckError naming
   /// `what` on expiry.
@@ -224,8 +234,6 @@ class Coordinator {
   std::map<std::uint64_t, RemoteDone> done_;
   std::map<net::NodeId, QuiesceReplyFrame> quiesce_replies_;
   std::uint64_t quiesce_round_ = 0;
-  std::map<net::NodeId, stats::Recorder> stats_replies_;
-  std::uint64_t stats_tag_ = 0;
   std::size_t reset_acks_ = 0;
   std::uint64_t reset_tag_ = 0;
   std::size_t shutdown_acks_ = 0;
@@ -238,14 +246,14 @@ class Coordinator {
   /// aborted loudly instead of hanging to the control timeout.
   std::thread death_watchdog_;
   std::atomic<bool> unwinding_{false};
-  // live metrics plane (lead side)
+  // stats polls: live metrics plane and end-of-run gather (lead side)
   std::thread poll_thread_;
   bool poll_stop_ = false;
-  std::uint64_t poll_seq_ = 0;
-  std::map<net::NodeId, StatsPollReplyFrame> poll_replies_;
+  std::uint64_t poll_seq_ = 0;  // last poll sent, live or gather
   /// Freshest reply ever received per process, regardless of poll round:
-  /// a slow rank's counters are merged from here (and called out as
-  /// stale) instead of silently vanishing from the totals.
+  /// a gather reads its answers here, and a slow rank's counters are
+  /// merged from here (and called out as stale) instead of silently
+  /// vanishing from the live totals.
   std::map<net::NodeId, StatsPollReplyFrame> poll_latest_;
   PollView latest_view_;
   /// One retained line per poll, persisted to `poll_out_` by StopPolling.

@@ -232,33 +232,6 @@ bool TryDecode(ByteSpan frame, QuiesceReplyFrame* out, std::string* error) {
   });
 }
 
-Bytes Encode(const StatsRequestFrame& f) {
-  Writer w = Begin(FrameType::kStatsRequest);
-  w.u64(f.tag);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsRequestFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsRequest, error,
-                   [&](Reader& r) { out->tag = r.u64(); });
-}
-
-Bytes Encode(const StatsReplyFrame& f) {
-  Writer w = Begin(FrameType::kStatsReply);
-  w.u64(f.tag);
-  w.u32(f.node);
-  f.recorder.Encode(w);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsReplyFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsReply, error, [&](Reader& r) {
-    out->tag = r.u64();
-    out->node = r.u32();
-    out->recorder = stats::Recorder::Decode(r);
-  });
-}
-
 Bytes Encode(const ResetStatsFrame& f) {
   Writer w = Begin(FrameType::kResetStats);
   w.u64(f.tag);
@@ -324,8 +297,6 @@ bool TryDecode(ByteSpan frame, StatsPollFrame* out, std::string* error) {
 Bytes Encode(const StatsPollReplyFrame& f) {
   Writer w = Begin(FrameType::kStatsPollReply);
   w.u64(f.seq);
-  w.u32(f.node);
-  w.u64(f.now_ns);
   f.recorder.Encode(w);
   return w.take();
 }
@@ -333,8 +304,6 @@ Bytes Encode(const StatsPollReplyFrame& f) {
 bool TryDecode(ByteSpan frame, StatsPollReplyFrame* out, std::string* error) {
   return Defensive(frame, FrameType::kStatsPollReply, error, [&](Reader& r) {
     out->seq = r.u64();
-    out->node = r.u32();
-    out->now_ns = r.u64();
     out->recorder = stats::Recorder::Decode(r);
   });
 }

@@ -8,7 +8,7 @@
 // protocol message (exactly the bytes the in-process transports deliver);
 // control frames carry the mesh handshake and the coordinator's
 // control-plane: remote thread start/completion, distributed quiescence
-// probes, stats gather, stats reset, and the shutdown barrier.
+// probes, stats polls, stats reset, and the shutdown barrier.
 //
 // Peer input is untrusted: every decoder here returns false with a
 // diagnostic on truncated, oversized, out-of-range, or trailing-garbage
@@ -48,8 +48,11 @@ namespace hmdsm::netio {
 /// carries object copies, the SyncFence message exists, and the recorder
 /// serialization grew the grant-copies counter. v11: a lock grant carries
 /// its cacheable flag, the LockRecall message exists, and the recorder
-/// serialization grew the local-acquire and recall counters.
-constexpr std::uint32_t kProtocolVersion = 11;
+/// serialization grew the local-acquire and recall counters. v12: the
+/// end-of-run gather is a StatsPoll round, so the gather's own request and
+/// reply frames are gone, the later frame types renumber, and
+/// StatsPollReply drops its unread node and clock fields.
+constexpr std::uint32_t kProtocolVersion = 12;
 
 /// Hello/HelloAck feature flags. A feature is active on a link only when
 /// *both* ends advertise it, so mixed command lines degrade to the common
@@ -69,16 +72,14 @@ enum class FrameType : std::uint8_t {
   kThreadDone,     // host -> lead: thread `seq` finished (error + result)
   kQuiesceProbe,   // lead -> all: report your counters for `round`
   kQuiesceReply,   // rank -> lead: wire/mailbox counters at probe time
-  kStatsRequest,   // lead -> all: send your recorder
-  kStatsReply,     // rank -> lead: serialized stats::Recorder
   kResetStats,     // lead -> all: zero your recorder, mark your epoch
   kResetAck,       // rank -> lead
   kShutdown,       // lead -> all: run over (abort flag for error unwinds)
   kShutdownAck,    // rank -> lead: my local threads are done, nothing more
   kShutdownDone,   // lead -> all: every rank acked — safe to close sockets
   kBatch,          // several coalesced frames in one wire write
-  kStatsPoll,      // lead -> all: mid-run live-metrics sample `seq`
-  kStatsPollReply, // rank -> lead: counters+histograms at sample time
+  kStatsPoll,      // lead -> all: send stats snapshot `seq`
+  kStatsPollReply, // rank -> lead: serialized stats::Recorder for `seq`
   kHeartbeat,      // either direction: link-liveness probe `seq`
   kHeartbeatAck,   // echo of a Heartbeat: same seq + sender's send stamp
 };
@@ -153,16 +154,6 @@ struct QuiesceReplyFrame {
   std::uint64_t dispatched = 0;     // local handlers completed
 };
 
-struct StatsRequestFrame {
-  std::uint64_t tag = 0;
-};
-
-struct StatsReplyFrame {
-  std::uint64_t tag = 0;
-  net::NodeId node = 0;
-  stats::Recorder recorder;
-};
-
 struct ResetStatsFrame {
   std::uint64_t tag = 0;
 };
@@ -184,20 +175,19 @@ struct ShutdownAckFrame {};
 /// the run is over.
 struct ShutdownDoneFrame {};
 
-/// Live-metrics sample request: unlike kStatsRequest (end-of-window gather
-/// at quiescence), polls fire mid-run on a timer and replies are best-
-/// effort snapshots — the live metrics plane, and the groundwork for rank
-/// heartbeating (a rank that stops answering polls is in trouble).
+/// Stats snapshot request. The lead's live-metrics timer sends one every
+/// interval and takes whatever replies arrive in time; the end-of-run
+/// gather sends one and waits for every process. The lead numbers polls in
+/// send order and links are FIFO, so a reply with a higher seq is a later
+/// snapshot of the same process.
 struct StatsPollFrame {
   std::uint64_t seq = 0;
 };
 
+/// One process's answer to poll `seq`: all its hosted ranks' recorders,
+/// merged, after closing one time-series window.
 struct StatsPollReplyFrame {
   std::uint64_t seq = 0;
-  net::NodeId node = 0;
-  /// The replying rank's transport clock (ns since its epoch) at snapshot
-  /// time; consecutive replies give the lead a per-rank ops/s rate.
-  std::uint64_t now_ns = 0;
   stats::Recorder recorder;
 };
 
@@ -224,8 +214,6 @@ Bytes Encode(const StartThreadFrame&);
 Bytes Encode(const ThreadDoneFrame&);
 Bytes Encode(const QuiesceProbeFrame&);
 Bytes Encode(const QuiesceReplyFrame&);
-Bytes Encode(const StatsRequestFrame&);
-Bytes Encode(const StatsReplyFrame&);
 Bytes Encode(const ResetStatsFrame&);
 Bytes Encode(const ResetAckFrame&);
 Bytes Encode(const ShutdownFrame&);
@@ -265,8 +253,6 @@ bool TryDecode(ByteSpan frame, StartThreadFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ThreadDoneFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, QuiesceProbeFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, QuiesceReplyFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsRequestFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsReplyFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ResetStatsFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ResetAckFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ShutdownFrame* out, std::string* error);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <functional>
 
+#include "src/netio/frame.h"
 
 namespace hmdsm::netio {
 
@@ -381,7 +382,8 @@ bool ShmTransport::DrainRing(std::size_t g) {
                                 static_cast<std::uint32_t>(st.len[1]) << 8 |
                                 static_cast<std::uint32_t>(st.len[2]) << 16 |
                                 static_cast<std::uint32_t>(st.len[3]) << 24;
-      if (len == 0 || len > options_.max_frame_bytes) {
+      // Same bound the TCP reader enforces.
+      if (len == 0 || len > kMaxFrameBytes) {
         rh->head.store(head, std::memory_order_release);
         if (on_fatal_)
           on_fatal_("shm ring from group " + std::to_string(g) +

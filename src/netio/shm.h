@@ -72,9 +72,6 @@ struct ShmTransportOptions {
   /// Capacity of each inbound ring. A full ring blocks the writer until the
   /// owner's drainer makes room; it never drops or reorders.
   std::size_t ring_bytes = 256 * 1024;
-  /// Frames above this are a protocol violation (same bound the TCP reader
-  /// enforces).
-  std::uint32_t max_frame_bytes = 64u << 20;
 };
 
 class ShmTransport {

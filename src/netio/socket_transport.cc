@@ -40,6 +40,9 @@ constexpr std::size_t kMaxBatchBytes = 64 * 1024;
 /// larger images flush across several calls.
 constexpr int kMaxIovPerWrite = 192;
 
+/// How long dialers retry, and handshakes wait, while the mesh comes up.
+constexpr int kConnectTimeoutMs = 30000;
+
 Bytes LenPrefix(std::size_t n) {
   Bytes b(4);
   const auto v = static_cast<std::uint32_t>(n);
@@ -87,7 +90,6 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     so.group_count = group_count_;
     so.self_group = group_;
     so.ring_bytes = options_.shm_ring_bytes;
-    so.max_frame_bytes = options_.max_frame_bytes;
     std::string error;
     shm_ = ShmTransport::Create(so, &error);
     if (shm_ == nullptr) {
@@ -201,8 +203,7 @@ void SocketTransport::ConnectorMain() {
   for (std::size_t g = 0; g < group_; ++g) {
     const net::NodeId primary = PrimaryOf(g);
     std::string error;
-    Fd fd = DialWithRetry(options_.peers[primary], options_.connect_timeout_ms,
-                          &error);
+    Fd fd = DialWithRetry(options_.peers[primary], kConnectTimeoutMs, &error);
     if (!fd.valid()) {
       FailConnect("dial process " + std::to_string(g) + " (rank " +
                   std::to_string(primary) + "): " + error);
@@ -221,8 +222,8 @@ void SocketTransport::ConnectorMain() {
       return;
     }
     Bytes reply;
-    SetRecvTimeout(fd.get(), options_.connect_timeout_ms);
-    if (!ReadFrame(fd.get(), &reply, options_.max_frame_bytes, &error)) {
+    SetRecvTimeout(fd.get(), kConnectTimeoutMs);
+    if (!ReadFrame(fd.get(), &reply, kMaxFrameBytes, &error)) {
       FailConnect("hello-ack from process " + std::to_string(g) + ": " +
                   (error.empty() ? "connection closed" : error));
       return;
@@ -255,9 +256,8 @@ void SocketTransport::ConnectorMain() {
       return;
     }
     Bytes hello_bytes;
-    SetRecvTimeout(fd.get(), options_.connect_timeout_ms);
-    if (!ReadFrame(fd.get(), &hello_bytes, options_.max_frame_bytes,
-                   &error)) {
+    SetRecvTimeout(fd.get(), kConnectTimeoutMs);
+    if (!ReadFrame(fd.get(), &hello_bytes, kMaxFrameBytes, &error)) {
       FailConnect("hello read: " +
                   (error.empty() ? "connection closed" : error));
       return;
@@ -399,7 +399,7 @@ void SocketTransport::AwaitConnected() {
   // fork storms, loaded CI) grows with the mesh, and a fixed +5s window
   // that was fine at 4 ranks starves at 128.
   const auto window = std::chrono::milliseconds(
-      options_.connect_timeout_ms + 5000 +
+      kConnectTimeoutMs + 5000 +
       100 * static_cast<int>(options_.peers.size()));
   std::unique_lock lock(mesh_mu_);
   const bool done = mesh_cv_.wait_for(lock, window, [&] {
@@ -548,33 +548,16 @@ void SocketTransport::UpdateEpoll(IoThread& t, Peer& peer, std::size_t group,
 void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
   Peer& peer = peers_[group];
   const int fd = peer.fd.get();
+  ssize_t r = 0;
+  const char* eof_why = "";  // what an EOF at this point of the frame means
   for (;;) {
     if (peer.head_got < 4) {
-      const ssize_t r = ::recv(fd, peer.head + peer.head_got,
-                               4 - peer.head_got, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     std::string("read error: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     peer.head_got == 0
-                         ? "closed its connection mid-run"
-                         : "eof inside a frame header");
-        return;
+      r = ::recv(fd, peer.head + peer.head_got, 4 - peer.head_got, 0);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) {
+        eof_why = peer.head_got == 0 ? "closed its connection mid-run"
+                                     : "eof inside a frame header";
+        break;
       }
       peer.last_heard_ns.store(Now(), std::memory_order_release);
       peer.head_got += static_cast<std::size_t>(r);
@@ -582,7 +565,7 @@ void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
       std::uint32_t len = 0;
       for (int i = 0; i < 4; ++i)
         len |= static_cast<std::uint32_t>(peer.head[i]) << (8 * i);
-      if (len == 0 || len > options_.max_frame_bytes) {
+      if (len == 0 || len > kMaxFrameBytes) {
         Die("frame length " + std::to_string(len) + " from process " +
             std::to_string(group));
       }
@@ -590,28 +573,11 @@ void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
       peer.in_got = 0;
     } else {
       const std::size_t want = peer.in_box->size() - peer.in_got;
-      const ssize_t r = ::recv(fd, peer.in_box->data() + peer.in_got, want,
-                               0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     std::string("read error: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group, "eof inside a frame");
-        return;
+      r = ::recv(fd, peer.in_box->data() + peer.in_got, want, 0);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) {
+        eof_why = "eof inside a frame";
+        break;
       }
       peer.last_heard_ns.store(Now(), std::memory_order_release);
       peer.in_got += static_cast<std::size_t>(r);
@@ -625,6 +591,18 @@ void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
                   /*allow_batch=*/true);
     }
   }
+  const int err = errno;
+  if (r < 0 && (err == EAGAIN || err == EWOULDBLOCK)) return;
+  // Read error or EOF. Once shutting down it is a goodbye: close the read
+  // side and keep flushing writes. Mid-run the peer is gone.
+  if (shutting_down_.load(std::memory_order_acquire)) {
+    peer.read_open = false;
+    UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
+    return;
+  }
+  MarkPeerDown(t, group, r < 0 ? std::string("read error: ") +
+                                     std::strerror(err)
+                               : std::string(eof_why));
 }
 
 void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,

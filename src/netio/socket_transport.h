@@ -136,10 +136,6 @@ struct SocketTransportOptions {
   /// ephemeral ports in the parent so children cannot collide); -1 binds
   /// peers[rank] instead.
   int listen_fd = -1;
-  /// How long dialers retry while the mesh comes up.
-  int connect_timeout_ms = 30000;
-  /// Frames above this are a protocol violation (checked pre-allocation).
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
   /// Link-liveness heartbeat period. Each reactor thread arms a periodic
   /// timerfd and probes every peer process it owns with a Heartbeat frame;
   /// the ack feeds that link's RTT histogram and last-heard clock. 0

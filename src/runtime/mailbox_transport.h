@@ -69,8 +69,7 @@ class MailboxTransport : public net::Transport {
   /// Folds transport-level statistics that live outside the per-node
   /// recorders (wire-write counters, syscall-latency histograms kept by
   /// writer threads) into a snapshot of `node`'s recorder. Called by
-  /// Runtime::SnapshotRecorder/Totals on the copy, never on the live
-  /// recorder.
+  /// Runtime::Totals on the copy, never on the live recorder.
   virtual void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const {
     (void)node;
     (void)into;

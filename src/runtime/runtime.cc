@@ -167,17 +167,6 @@ bool Runtime::SampleTimeseries() {
   return moved;
 }
 
-stats::Recorder Runtime::SnapshotRecorder(dsm::NodeId node) const {
-  HMDSM_CHECK(node < cells_.size() && cells_[node] != nullptr);
-  stats::Recorder snap;
-  {
-    std::lock_guard lock(cells_[node]->mu);
-    snap = transport_.RecorderFor(node);
-  }
-  transport_.AugmentSnapshot(node, snap);
-  return snap;
-}
-
 void Runtime::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;

@@ -94,10 +94,6 @@ class Runtime {
     return node < cells_.size() && cells_[node] != nullptr;
   }
 
-  /// Copy of a hosted node's recorder, taken under its agent lock (so it is
-  /// consistent even against a straggling handler).
-  stats::Recorder SnapshotRecorder(dsm::NodeId node) const;
-
   /// Fresh identifiers, allocated centrally like dsm::Cluster's (identical
   /// sequences, so a scenario materializes the same ids on both backends).
   /// Call from the coordinating thread only.

@@ -471,6 +471,36 @@ TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {
   EXPECT_EQ(UnpackResult(blob).answer, serial);
 }
 
+// The end-of-run gather while the live poll thread runs: both are rounds
+// of one StatsPoll sequence, so a poll reply may answer the gather and a
+// gather reply may answer a poll. The report must still be complete — the
+// answer, balanced cluster stats, and a time series from every rank.
+TEST(AppsOnSocketsMultiRank, ReportDuringLivePollingIsComplete) {
+  HMDSM_SKIP_UNDER_TSAN();
+  workload::PatternParams params;
+  params.pattern = "hotspot";
+  params.nodes = 8;
+  params.repetitions = 200;  // tens of ms: several polls before the gather
+  const workload::Scenario scenario = workload::GeneratePattern(params);
+  const auto sim_res = workload::RunScenario(
+      Opts(8, gos::Backend::kSim, false), scenario);
+  const Bytes blob =
+      RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
+        vm.poll_interval_s = 0.005;
+        const auto r = workload::RunScenario(vm, scenario);
+        std::uint64_t sampled = 0;  // bit n: the series has a rank-n sample
+        for (const stats::Sample& sample : r.report.series.samples())
+          sampled |= std::uint64_t{1} << sample.node;
+        Writer w(PackResult(r.checksum, r.report));
+        w.u64(sampled);
+        return w.take();
+      });
+  ASSERT_EQ(blob.size(), 6 * sizeof(std::uint64_t));
+  EXPECT_EQ(UnpackResult(blob).answer, sim_res.checksum);
+  Reader reader(ByteSpan(blob).subspan(5 * sizeof(std::uint64_t)));
+  EXPECT_EQ(reader.u64(), 0xFFu) << "every rank's series reaches the report";
+}
+
 // The measured clock must actually reflect injected latency: the same app
 // with a fat injected t0 takes measurably longer than without injection.
 TEST(AppsCrossBackendTiming, InjectionStretchesWallClock) {

@@ -60,22 +60,6 @@ TEST(NetioFrame, QuiesceReplyRoundTrip) {
   EXPECT_EQ(out.dispatched, 50u);
 }
 
-TEST(NetioFrame, StatsReplyRoundTripsARecorder) {
-  StatsReplyFrame in;
-  in.tag = 1;
-  in.node = 2;
-  in.recorder.SetNodeCount(3);
-  in.recorder.RecordMessage(stats::MsgCat::kObj, 123);
-  in.recorder.RecordSent(2, 123);
-  in.recorder.Bump(stats::Ev::kMigrations, 5);
-  const StatsReplyFrame out = RoundTrip(in);
-  EXPECT_EQ(out.node, 2u);
-  EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).messages, 1u);
-  EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).bytes, 123u);
-  EXPECT_EQ(out.recorder.SentBy(2).messages, 1u);
-  EXPECT_EQ(out.recorder.Count(stats::Ev::kMigrations), 5u);
-}
-
 TEST(NetioFrame, ShutdownRoundTripCarriesAbort) {
   EXPECT_TRUE(RoundTrip(ShutdownFrame{true}).abort);
   EXPECT_FALSE(RoundTrip(ShutdownFrame{false}).abort);
@@ -88,16 +72,18 @@ TEST(NetioFrame, StatsPollRoundTrip) {
 TEST(NetioFrame, StatsPollReplyRoundTripsRecorderWithHistograms) {
   StatsPollReplyFrame in;
   in.seq = 9;
-  in.node = 3;
-  in.now_ns = 123456789;
   in.recorder.SetNodeCount(4);
   in.recorder.RecordMessage(stats::MsgCat::kObj, 64);
+  in.recorder.RecordSent(2, 64);
+  in.recorder.Bump(stats::Ev::kMigrations, 5);
   in.recorder.RecordRtt(stats::MsgCat::kObj, 1500);
   in.recorder.RecordLatency(stats::Lat::kMailboxDwell, 250);
   const StatsPollReplyFrame out = RoundTrip(in);
   EXPECT_EQ(out.seq, 9u);
-  EXPECT_EQ(out.node, 3u);
-  EXPECT_EQ(out.now_ns, 123456789u);
+  EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).messages, 1u);
+  EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).bytes, 64u);
+  EXPECT_EQ(out.recorder.SentBy(2).messages, 1u);
+  EXPECT_EQ(out.recorder.Count(stats::Ev::kMigrations), 5u);
   EXPECT_EQ(out.recorder.Rtt(stats::MsgCat::kObj).count(), 1u);
   EXPECT_EQ(out.recorder.Rtt(stats::MsgCat::kObj).max(), 1500u);
   EXPECT_EQ(out.recorder.Latency(stats::Lat::kMailboxDwell).count(), 1u);
@@ -110,9 +96,10 @@ TEST(NetioFrame, StatsPollReplyRoundTripsRecorderWithHistograms) {
 TEST(NetioFrameDefense, EmptyAndUnknownTypeAreRejected) {
   FrameType type;
   EXPECT_FALSE(PeekType(ByteSpan(), &type));
-  // 20 is the retired v7 delta frame's type byte: a v7 peer's delta frame
-  // must be rejected as unknown, never misparsed as some other frame.
-  for (const Byte unknown : {Byte{0xEE}, Byte{20}}) {
+  // 20 is the retired v7 delta frame's type byte, and 18 and 19 were
+  // freed when v12 dropped the gather's own request/reply pair: such
+  // frames must be rejected as unknown, never misparsed as another frame.
+  for (const Byte unknown : {Byte{0xEE}, Byte{18}, Byte{19}, Byte{20}}) {
     const Bytes junk{unknown, 1, 2, 3};
     EXPECT_FALSE(PeekType(ByteSpan(junk), &type)) << int{unknown};
     DataFrame out;
@@ -182,12 +169,11 @@ TEST(NetioFrameDefense, OutOfRangeCategoryIsRejected) {
 }
 
 TEST(NetioFrameDefense, CorruptRecorderTableIsRejected) {
-  // A hand-built stats reply whose recorder claims a 2^32-entry per-node
+  // A hand-built poll reply whose recorder claims a 2^32-entry per-node
   // table: decode must fail before allocating anything of that size.
   Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kStatsReply));
-  w.u64(1);  // tag
-  w.u32(0);  // node
+  w.u8(static_cast<std::uint8_t>(FrameType::kStatsPollReply));
+  w.u64(1);  // seq
   w.u8(3);   // recorder serde version (v3: + decision ledger, timeseries)
   w.u32(static_cast<std::uint32_t>(stats::kNumMsgCats));
   for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) {
@@ -198,7 +184,7 @@ TEST(NetioFrameDefense, CorruptRecorderTableIsRejected) {
   for (std::size_t i = 0; i < stats::kNumEvs; ++i) w.u64(0);
   w.u32(0xFFFFFFFFu);  // hostile sent-by table size, no data behind it
   const Bytes wire = w.take();
-  StatsReplyFrame out;
+  StatsPollReplyFrame out;
   std::string error;
   EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
 }
@@ -206,7 +192,6 @@ TEST(NetioFrameDefense, CorruptRecorderTableIsRejected) {
 TEST(NetioFrameDefense, StatsPollReplyTruncationIsAnErrorNotACrash) {
   StatsPollReplyFrame in;
   in.seq = 4;
-  in.node = 1;
   in.recorder.SetNodeCount(2);
   in.recorder.RecordRtt(stats::MsgCat::kObj, 1000);
   const Bytes wire = Encode(in);
@@ -236,8 +221,6 @@ TEST(NetioFrameDefense, HostileHistogramBucketCountIsRejected) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(FrameType::kStatsPollReply));
   w.u64(1);  // seq
-  w.u32(0);  // node
-  w.u64(0);  // now_ns
   w.u8(3);   // recorder serde version
   w.u32(static_cast<std::uint32_t>(stats::kNumMsgCats));
   for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) {
