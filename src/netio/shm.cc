@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "src/netio/frame.h"
 
@@ -46,9 +47,13 @@ struct SegHdr {
   std::uint32_t ring_count;
   std::uint64_t ring_bytes;
   // Bumped by any writer after publishing bytes (and by Knock); the
-  // owner's drainer parks on it when its mailbox and every ring are empty.
+  // owner's dispatcher parks on it when its mailbox and every ring are
+  // empty.
   std::atomic<std::uint32_t> doorbell;
   std::atomic<std::uint32_t> drainer_waiting;
+  // A parked guest of the owner's primary rank drains the rings: a ring
+  // write then does not wake the parked dispatcher.
+  std::atomic<std::uint32_t> guest_draining;
   // Owner is tearing down; writers must stop and return false.
   std::atomic<std::uint32_t> closed;
 };
@@ -63,14 +68,13 @@ struct alignas(kCacheLine) RingHdr {
   std::atomic<std::uint64_t> tail;
   char pad1[kCacheLine - sizeof(std::atomic<std::uint64_t>)];
   std::atomic<std::uint32_t> attached;  // writer mapped us and may publish
-  std::atomic<std::uint32_t> writer_waiting;
-  std::atomic<std::uint32_t> space_db;  // bumped by the drainer after drains
-  char pad2[kCacheLine - 3 * sizeof(std::atomic<std::uint32_t>)];
+  char pad2[kCacheLine - sizeof(std::atomic<std::uint32_t>)];
 };
 static_assert(sizeof(RingHdr) == 3 * kCacheLine, "RingHdr padding drifted");
 
 constexpr std::size_t kSegHdrBytes =
     (sizeof(SegHdr) + kCacheLine - 1) / kCacheLine * kCacheLine;
+static_assert(kSegHdrBytes == kCacheLine, "SegHdr outgrew its cache line");
 
 std::size_t SegmentBytes(std::size_t groups, std::size_t ring_bytes) {
   return kSegHdrBytes + groups * sizeof(RingHdr) + groups * ring_bytes;
@@ -112,12 +116,17 @@ void Unmap(void* base, std::size_t bytes, int fd) {
   if (fd >= 0) close(fd);
 }
 
-// Publishes an event to the segment owner's drainer. The seq_cst pair with
-// Park's drainer_waiting store means either the drainer's FUTEX_WAIT
-// compare sees the new doorbell value or this load sees it parked.
+// Publishes an event to the segment owner's dispatcher. The seq_cst pair
+// with Park's drainer_waiting store means either the dispatcher's
+// FUTEX_WAIT compare sees the new doorbell value or this load sees it
+// parked. The fence pairs with EndGuestDrain's: either the guest that
+// stops draining sees what was published before it, or this load sees
+// that no guest drains any more and wakes the dispatcher.
 void RingDoorbell(SegHdr* hdr) {
   hdr->doorbell.fetch_add(1, std::memory_order_seq_cst);
-  if (hdr->drainer_waiting.load(std::memory_order_seq_cst) != 0)
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (hdr->drainer_waiting.load(std::memory_order_seq_cst) != 0 &&
+      hdr->guest_draining.load(std::memory_order_seq_cst) == 0)
     FutexWake(&hdr->doorbell);
 }
 
@@ -281,24 +290,11 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
         if (stopping_.load(std::memory_order_acquire) ||
             hdr->closed.load(std::memory_order_acquire) != 0)
           return false;
-        if (OnDrainerThread()) {
-          // The drainer never sleeps while its own rings hold bytes: the
-          // peer whose drainer frees this ring may itself be blocked
-          // writing into ours.
-          if (!Drain()) std::this_thread::yield();
-          continue;
-        }
-        // Park on the space doorbell. Re-check head after raising
-        // writer_waiting: the drainer bumps space_db after its drain, so a
-        // drain between our head load and the wait would otherwise be a
-        // lost wakeup. The timeout bounds the window where the owner died
-        // without closing.
-        const std::uint32_t db = rh->space_db.load(std::memory_order_acquire);
-        rh->writer_waiting.store(1, std::memory_order_release);
-        head = rh->head.load(std::memory_order_acquire);
-        if (options_.ring_bytes - static_cast<std::size_t>(tail - head) == 0)
-          FutexWait(&rh->space_db, db, 10);
-        rh->writer_waiting.store(0, std::memory_order_relaxed);
+        // No writer sleeps while our own rings may hold bytes: the peer
+        // that frees this ring may itself be blocked writing into ours,
+        // and the thread that would drain ours may be waiting for a lock
+        // this writer holds.
+        if (!Drain()) std::this_thread::yield();
         continue;
       }
       const std::size_t take = std::min(space, n);
@@ -331,6 +327,27 @@ std::uint32_t ShmTransport::Doorbell() const {
 
 void ShmTransport::Knock() { RingDoorbell(Hdr(own_.base)); }
 
+void ShmTransport::BeginGuestDrain() {
+  Hdr(own_.base)->guest_draining.store(1, std::memory_order_seq_cst);
+}
+
+bool ShmTransport::EndGuestDrain() {
+  Hdr(own_.base)->guest_draining.store(0, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (std::size_t g = 0; g < options_.group_count; ++g) {
+    if (g == options_.self_group) continue;
+    const RingHdr* rh = Ring(own_.base, g);
+    if (rh->tail.load(std::memory_order_acquire) !=
+        rh->head.load(std::memory_order_acquire))
+      return true;
+  }
+  return false;
+}
+
+bool ShmTransport::guest_draining() const {
+  return Hdr(own_.base)->guest_draining.load(std::memory_order_acquire) != 0;
+}
+
 void ShmTransport::Park(std::uint32_t seen) {
   SegHdr* hdr = Hdr(own_.base);
   // Advertise the park, then let FUTEX_WAIT's compare re-check the
@@ -345,9 +362,9 @@ void ShmTransport::Park(std::uint32_t seen) {
 
 bool ShmTransport::Drain() {
   if (stopping_.load(std::memory_order_acquire)) return false;
-  const std::thread::id me = std::this_thread::get_id();
-  if (drainer_.load(std::memory_order_relaxed) != me)
-    drainer_.store(me, std::memory_order_relaxed);
+  // Another thread's pass is under way and delivers for us too.
+  std::unique_lock lock(drain_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return false;
   bool progress = false;
   for (std::size_t g = 0; g < options_.group_count; ++g) {
     if (g == options_.self_group) continue;
@@ -400,12 +417,9 @@ bool ShmTransport::DrainRing(std::size_t g) {
       avail -= take;
       st.got += take;
       if (st.got == st.box->size()) {
-        // Free the ring space before the (possibly slow) handler runs so a
-        // blocked writer can make progress under it.
+        // Free the ring space before the frame is routed, so a writer
+        // waiting for room can go on meanwhile.
         rh->head.store(head, std::memory_order_release);
-        rh->space_db.fetch_add(1, std::memory_order_release);
-        if (rh->writer_waiting.load(std::memory_order_acquire) != 0)
-          FutexWake(&rh->space_db);
         on_frame_(g, pool_->Wrap(std::move(st.box)));
         st.box = nullptr;
         st.len_got = 0;
@@ -414,9 +428,6 @@ bool ShmTransport::DrainRing(std::size_t g) {
     }
   }
   rh->head.store(head, std::memory_order_release);
-  rh->space_db.fetch_add(1, std::memory_order_release);
-  if (rh->writer_waiting.load(std::memory_order_acquire) != 0)
-    FutexWake(&rh->space_db);
   return true;
 }
 
@@ -424,18 +435,12 @@ void ShmTransport::Stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
-  // Close our inbound segment (unblocks peers' writers) and kick every
-  // doorbell we might be sleeping on or a peer might be parked on.
+  // Close our inbound segment (peers' writers waiting for room give up)
+  // and wake a dispatcher parked on its doorbell.
   SegHdr* own_hdr = Hdr(own_.base);
   own_hdr->closed.store(1, std::memory_order_release);
   own_hdr->doorbell.fetch_add(1, std::memory_order_release);
   FutexWake(&own_hdr->doorbell);
-  for (std::size_t g = 0; g < peer_segs_.size(); ++g) {
-    if (peer_segs_[g].base == nullptr) continue;
-    RingHdr* rh = Ring(peer_segs_[g].base, options_.self_group);
-    rh->space_db.fetch_add(1, std::memory_order_release);
-    FutexWake(&rh->space_db);
-  }
   shm_unlink(name_.c_str());
 }
 

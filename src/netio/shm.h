@@ -25,40 +25,43 @@
 // protocol is correct (and TSan-clean) independent of the futexes. The
 // futexes are pure sleep/wake.
 //
-// Receive side: no thread of its own. The segment owner's *drainer* —
-// the primary rank's dispatcher once a link has a ring
-// (netio/socket_transport.h) — calls Drain()
-// between mailbox pops, so a frame is decoded and handled on the thread
-// that runs its handler, with no hand-off in between. When both its
-// mailbox and its rings are empty it polls for kReceivePollWindow
-// (netio/poll_window.h, 200 us), then advertises itself in
-// drainer_waiting and waits on the segment doorbell (Park). A ring writer
-// bumps the doorbell after publishing, and so does every push into the
-// drainer's mailbox (Knock); either issues FUTEX_WAKE only when the
-// drainer is actually parked, so inside the window neither side makes a
-// syscall and no frame pays a thread wake-up.
+// Receive side: no thread of its own. Drain() is one pass over every
+// inbound ring on the calling thread, under a small drain mutex (a thread
+// that finds it taken skips the pass: the holder delivers for everyone).
+// The primary rank's receiver drains (netio/socket_transport.h): its
+// parked guest while it polls for its reply, else its dispatcher. Frames
+// go straight into the ranks' mailboxes, so the primary's own frames are
+// popped and handled on the draining thread with no hand-off in between.
+// When its mailbox and its rings are empty the dispatcher polls for
+// kReceivePollWindow (runtime/poll_window.h, 200 us), then advertises
+// itself in drainer_waiting and waits on the segment doorbell (Park). A
+// ring writer bumps the doorbell after publishing, and so does every push
+// into the primary's mailbox (Knock); either issues FUTEX_WAKE only when
+// the dispatcher is parked and no guest drains (guest_draining, raised by
+// BeginGuestDrain). So inside a window no side makes a syscall and no
+// frame pays a thread wake-up. A guest that stops draining (EndGuestDrain)
+// reports bytes left in the rings, and its transport knocks for them.
 //
-// Liveness: the drainer is also a sender, so it must never block while its
-// own rings hold bytes — a peer blocked writing into them may be exactly
-// what it waits on. WriteFrame on the drainer's thread therefore drains
-// while it waits for ring space instead of parking (other writers park on
-// a per-ring space doorbell); the agent-lock and link-lock waits follow
-// the same rule (runtime/runtime.cc DispatchLoop, SocketTransport::
-// SendData). All waits are timeout-bounded so teardown can never hang on
-// a lost wakeup or a killed peer.
+// Liveness: no writer sleeps while its own process's rings may hold
+// bytes: a peer blocked writing into them may be exactly what it waits
+// on, and the thread that would drain them may wait for a lock this
+// writer holds (its agent lock, its link lock). WriteFrame therefore
+// drains while it waits for ring space, on whatever thread it runs, so a
+// wait for the agent lock or a link lock never needs a drainer of its
+// own. All waits are timeout-bounded so teardown can never hang on a lost
+// wakeup or a killed peer.
 //
 // Single-writer contract: WriteFrame(peer, ...) must be externally
 // serialized per peer (SocketTransport calls it under the link mutex that
-// already orders that link's sends). Drain() is single-consumer: one
-// thread at a time, and the last thread that called it is the drainer.
+// already orders that link's sends).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/util/bufpool.h"
@@ -70,7 +73,7 @@ struct ShmTransportOptions {
   std::size_t group_count = 0;  // processes in the mesh
   std::size_t self_group = 0;   // this process's index
   /// Capacity of each inbound ring. A full ring blocks the writer until the
-  /// owner's drainer makes room; it never drops or reorders.
+  /// owner's receiver makes room; it never drops or reorders.
   std::size_t ring_bytes = 256 * 1024;
 };
 
@@ -125,32 +128,35 @@ class ShmTransport {
   void SetReceiver(FrameHandler on_frame, FatalHandler on_fatal,
                    BufferPool* pool, RingGate ready = nullptr);
 
-  /// One pass over every attached inbound ring on the calling thread,
-  /// which becomes the drainer: each completed frame goes to on_frame
-  /// right here. True if any byte moved. A no-op once stopping.
+  /// One pass over every attached inbound ring on the calling thread:
+  /// each completed frame goes to on_frame right here. True if any byte
+  /// moved; false at once when another thread's pass holds the drain
+  /// mutex. A no-op once stopping.
   bool Drain();
-
-  /// True on the thread that last called Drain().
-  bool OnDrainerThread() const {
-    return drainer_.load(std::memory_order_relaxed) ==
-           std::this_thread::get_id();
-  }
 
   /// The doorbell value to pass to Park(): read it *before* the checks
   /// (mailbox, Drain) whose emptiness decides to park, so an event between
   /// them and the park is never lost.
   std::uint32_t Doorbell() const;
 
-  /// Parks the drainer until the doorbell moves past `seen` — a ring
+  /// Parks the dispatcher until the doorbell moves past `seen` — a ring
   /// writer published, or Knock() — or a 50 ms backstop passes.
   void Park(std::uint32_t seen);
 
-  /// Rings the doorbell for an event the drainer waits on besides ring
+  /// Rings the doorbell for an event the dispatcher waits on besides ring
   /// bytes (a mailbox push, a ring gate opening, a close); wakes it only
-  /// when it is parked.
+  /// when it is parked and no guest drains.
   void Knock();
 
-  /// Times the drainer has parked on the doorbell.
+  /// A parked guest of the primary rank drains the rings until
+  /// EndGuestDrain: meanwhile ring writes and knocks do not wake the
+  /// dispatcher. EndGuestDrain returns true when a ring still holds bytes
+  /// (the caller knocks for them).
+  void BeginGuestDrain();
+  bool EndGuestDrain();
+  bool guest_draining() const;
+
+  /// Times the dispatcher has parked on the doorbell.
   std::uint64_t parks() const {
     return parks_.load(std::memory_order_relaxed);
   }
@@ -167,7 +173,8 @@ class ShmTransport {
     std::size_t bytes = 0;
     int fd = -1;
   };
-  /// Per-ring receive state: a record may arrive across many drains.
+  /// Per-ring receive state: a record may arrive across many drains
+  /// (guarded by drain_mu_).
   struct RxState {
     Byte len[4] = {};
     std::size_t len_got = 0;
@@ -187,7 +194,7 @@ class ShmTransport {
   std::vector<RxState> rx_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::thread::id> drainer_{};
+  std::mutex drain_mu_;  // one Drain pass at a time; guards rx_
   bool stopped_ = false;
   FrameHandler on_frame_;
   FatalHandler on_fatal_;

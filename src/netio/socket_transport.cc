@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -15,7 +14,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include "src/netio/poll_window.h"
+#include "src/runtime/poll_window.h"
 
 namespace hmdsm::netio {
 
@@ -84,7 +83,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
       std::make_unique<std::atomic<std::uint64_t>[]>(local_count);
   for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
   // The segment exists from construction on, so whether the primary's
-  // WaitPop drains rings is settled before any dispatcher calls it.
+  // receivers may drain rings is settled before any dispatcher waits.
   if (group_count_ > 1 && options_.shm) {
     ShmTransportOptions so;
     so.group_count = group_count_;
@@ -359,14 +358,15 @@ void SocketTransport::RegisterPeer(std::size_t group, Fd fd,
                           peer.fd.get(), &ev) == 0);
   const bool ring_link = shm_ != nullptr && !peer_shm_name.empty();
   // The peer negotiated the ring too, so it writes ours from now on: the
-  // primary's dispatcher becomes the drainer (DrainPop). The flag only
-  // ever goes false -> true.
+  // primary's receivers drain the rings (AwaitReceive, TryReceive). The
+  // flag only ever goes false -> true.
   if (ring_link) rings_live_.store(true, std::memory_order_release);
   peer.registered.store(true, std::memory_order_release);
   if (ring_link) {
-    // Release a dispatcher still parked on its mailbox, and wake a parked
-    // drainer: Drain left this ring alone while `registered` was false, so
-    // ring bytes that raced the handshake drain now, not at the backstop.
+    // Release a dispatcher still parked on its mailbox, and wake one
+    // parked on the doorbell: Drain left this ring alone while
+    // `registered` was false, so ring bytes that raced the handshake drain
+    // now, not at the backstop.
     mailboxes_.front().Interrupt();
     shm_->Knock();
   }
@@ -428,7 +428,7 @@ void SocketTransport::IoLoop(std::size_t ti) {
   epoll_event events[64];
   // Poll (timeout 0) while the window after the last peer or wake event is
   // open; block only once it has passed. Heartbeat ticks do not reopen it.
-  PollWindow window;
+  runtime::PollWindow window(runtime::kReceivePollWindow);
   bool polling = false;
   for (;;) {
     const int nev = ::epoll_wait(t.epoll.get(), events, 64, polling ? 0 : -1);
@@ -686,35 +686,59 @@ void SocketTransport::Deliver(net::Packet&& packet) {
   if (i == 0 && rings_live_.load(std::memory_order_acquire)) shm_->Knock();
 }
 
-bool SocketTransport::DrainPop(net::Packet& out) {
-  runtime::Channel& mailbox = mailboxes_.front();
+bool SocketTransport::AwaitReceive(net::NodeId node) {
+  CheckLocal(node);
+  runtime::Channel& mailbox = mailboxes_[node - options_.rank];
+  if (shm_ == nullptr || node != options_.rank) return mailbox.Await();
   // Until a link negotiates a ring nothing writes ours: wait on the mailbox
   // like every other rank. RegisterPeer interrupts that wait when the
   // first ring link comes up.
-  while (!rings_live_.load(std::memory_order_acquire)) {
-    if (mailbox.WaitPop(out)) return true;
+  while (!rings_live()) {
+    if (mailbox.Await()) return true;
     if (mailbox.closed()) return false;
   }
-  // A handler just ran, and its reply usually lands within a round trip:
-  // poll a whole window before parking. A pass that moved bytes may have
-  // filled the mailbox, so it is popped again at once.
-  PollWindow window;
+  // A packet was just handled, and a reply usually lands within a round
+  // trip: poll a whole window before parking. A pass that moved bytes may
+  // have filled the mailbox, so it is looked at again at once. While a
+  // guest drains in this thread's place it parks at once; the guest
+  // knocks when it stops and left something.
+  runtime::PollWindow window(runtime::kReceivePollWindow);
   window.Busy();
   for (;;) {
     const std::uint32_t seen = shm_->Doorbell();
     if (mailbox.closed()) return false;
-    if (mailbox.TryPop(out)) return true;
-    if (shm_->Drain()) {
-      window.Busy();
-    } else if (!window.YieldWithin()) {
-      shm_->Park(seen);
+    if (!shm_->guest_draining()) {
+      if (mailbox.HasPacket()) return true;
+      if (shm_->Drain()) {
+        window.Busy();
+        continue;
+      }
+      if (window.YieldWithin()) continue;
     }
+    shm_->Park(seen);
   }
 }
 
-void SocketTransport::Progress(net::NodeId node) {
-  CheckLocal(node);
-  if (!shm_->Drain()) std::this_thread::yield();
+bool SocketTransport::TryReceive(net::NodeId node, net::Packet& out) {
+  runtime::Channel& mailbox = mailboxes_[node - options_.rank];
+  if (mailbox.TryPop(out)) return true;
+  return node == options_.rank && rings_live() && shm_->Drain() &&
+         mailbox.TryPop(out);
+}
+
+void SocketTransport::LendReceive(net::NodeId node) {
+  mailboxes_[node - options_.rank].Lend();
+  if (shm_ != nullptr && node == options_.rank) shm_->BeginGuestDrain();
+}
+
+void SocketTransport::ReclaimReceive(net::NodeId node) {
+  runtime::Channel& mailbox = mailboxes_[node - options_.rank];
+  mailbox.Reclaim();
+  if (shm_ == nullptr || node != options_.rank) return;
+  // Ring writes and pushes to the primary skipped the doorbell wake while
+  // the guest drained: knock for whatever it left. EndGuestDrain's fence
+  // orders the mailbox check after it.
+  if (shm_->EndGuestDrain() || mailbox.HasPacket()) shm_->Knock();
 }
 
 void SocketTransport::OnTimer(IoThread& t) {
@@ -970,15 +994,9 @@ void SocketTransport::SendData(net::NodeId dst, const DataFrame& data) {
   }
   bool via_shm = false;
   {
-    std::unique_lock lock(peer.mu, std::defer_lock);
-    if (shm_ != nullptr && shm_->OnDrainerThread()) {
-      // The drainer must not block here either: the holder may be a
-      // co-hosted rank's guest stuck on this peer's full ring, and the
-      // peer's drainer may be waiting on a ring of ours.
-      while (!lock.try_lock()) Progress(options_.rank);
-    } else {
-      lock.lock();
-    }
+    // A holder waiting for room in the peer's ring drains ours meanwhile
+    // (ShmTransport::WriteFrame), so this wait never stalls our rings.
+    std::lock_guard lock(peer.mu);
     HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
     Bytes frame = Encode(data);
     if (peer.shm_tx) {
@@ -1178,8 +1196,9 @@ void SocketTransport::Stop() {
   for (IoThread& t : io_) {
     if (t.th.joinable()) t.th.join();
   }
-  // Closing the mailboxes wakes and releases a parked drainer; stopping the
-  // segment turns Drain into a no-op but keeps it mapped until destruction.
+  // Closing the mailboxes wakes and releases a parked dispatcher; stopping
+  // the segment turns Drain into a no-op but keeps it mapped until
+  // destruction.
   CloseAll();
   if (shm_ != nullptr) shm_->Stop();
   listener_.Close();

@@ -23,7 +23,7 @@
 // counters and the write-latency histogram only ever record *successful*
 // writes. A reactor thread polls before it blocks: after its last peer or
 // wake event it calls epoll_wait(..., 0), yielding between passes, for
-// kReceivePollWindow (netio/poll_window.h, 200 us), and only then returns
+// kReceivePollWindow (runtime/poll_window.h, 200 us), and only then returns
 // to epoll_wait(-1). Every pass still sees the wake eventfd (stop, kicks)
 // and the heartbeat timerfd, whose ticks alone do not reopen the window.
 // The price is CPU while traffic flows (README, "Receive paths poll
@@ -45,8 +45,9 @@
 //     exactly, so FIFO survives.
 //   * Received frames are decoded defensively (peer input is untrusted)
 //     and data packets are pushed into the destination rank's mailbox —
-//     the same mailbox local sends use, so delivery order is whatever that
-//     rank's single dispatcher pops, and a self-send is never re-entrant.
+//     the same mailbox local sends use, so delivery order is the order the
+//     rank's receiver (the holder of its agent lock) pops, and a self-send
+//     is never re-entrant.
 //     Payloads are aliased views of the received wire frame (util::Buf),
 //     never re-copied between the wire and the handler.
 //   * Statistics live in the local ranks' recorders only (send half at
@@ -80,20 +81,30 @@
 // time: if the TCP queue already holds data frames when shm comes up, the
 // link simply stays on TCP — never reorder, just decline.
 //
-// Thread layout on a shm mesh: no thread reads the rings on the side. Once
-// a link negotiates a ring, the primary rank's dispatcher is the drainer —
-// its WaitPop (DrainPop) pops the primary's mailbox, else drains every
-// attached ring into the mailboxes of the ranks the frames are for (its
-// own included, popped again at once, on the same thread); with nothing
-// found it polls for kReceivePollWindow and then parks on the segment
-// doorbell, which every ring write and every push into the primary's
-// mailbox knocks. The drainer never blocks while its rings hold bytes: it
-// keeps draining while it waits for its agent lock (Progress, called by
-// runtime::Runtime), a link lock (SendData), or space in a peer's full
-// ring (ShmTransport::WriteFrame). Other ranks' dispatchers pop their
-// mailboxes as before, and so does the primary's until a ring link comes
-// up — for the whole run when every link stays on TCP (shm off, another
-// host, a single-process mesh). The reactor threads serve TCP either way.
+// Thread layout: no thread reads the rings on the side, and no rank has a
+// receive thread of its own while its guest waits. Each rank's packets are
+// popped from its mailbox under its agent lock (runtime/
+// mailbox_transport.h) by one of two threads:
+//   * its guest, while parked in Guest::Park for a reply: for up to
+//     kReceivePollWindow it pops the mailbox and handles each packet itself
+//     (TryReceive). On the primary rank, once a link negotiated a ring, it
+//     also drains the process's rings into the ranks' mailboxes. Meanwhile
+//     mailbox pushes and ring writes do not wake the dispatcher (Lend);
+//     when the guest stops, it knocks the dispatcher if anything is left
+//     (Reclaim);
+//   * otherwise its dispatcher, which waits in AwaitReceive and then pops
+//     under the lock. The primary's dispatcher, once a ring link is up,
+//     drains the rings while it waits, polls for kReceivePollWindow and
+//     then parks on the segment doorbell, which every ring write and every
+//     push into the primary's mailbox knocks. Other ranks' dispatchers
+//     wait on their mailbox's condvar (runtime/channel.h), and so does the
+//     primary's until a ring link comes up — for the whole run when every
+//     link stays on TCP (shm off, another host, a single-process mesh).
+// A co-hosted rank's ring frames are therefore drained by the primary's
+// receiver and popped by the co-hosted rank's own. The reactor threads
+// serve TCP either way. No thread that waits for room in a full ring
+// sleeps: it drains its own process's rings meanwhile (ShmTransport::
+// WriteFrame), so a peer blocked on our rings always gets room.
 #pragma once
 
 #include <atomic>
@@ -327,34 +338,32 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   // ---- runtime::MailboxTransport ----
 
-  /// With a shm segment, the primary rank's WaitPop is DrainPop, which
-  /// becomes the drainer once a ring link is up; every other rank pops its
-  /// mailbox.
-  bool WaitPop(net::NodeId node, net::Packet& out) override {
-    CheckLocal(node);
-    if (shm_ != nullptr && node == options_.rank) return DrainPop(out);
-    return mailboxes_[node - options_.rank].WaitPop(out);
-  }
-
-  /// True for the primary rank from the first ring link on.
-  bool DrainsOnWait(net::NodeId node) const override {
-    return node == options_.rank &&
-           rings_live_.load(std::memory_order_acquire);
-  }
-
-  /// One pass over the shm rings; yields when it found nothing.
-  void Progress(net::NodeId node) override;
+  /// The primary rank's wait, once a ring link is up, drains the rings,
+  /// polls for kReceivePollWindow and parks on the shm doorbell; every
+  /// other wait is the mailbox's.
+  bool AwaitReceive(net::NodeId node) override;
+  /// Pops `node`'s mailbox; on the primary with live rings, after a drain
+  /// pass when it is empty.
+  bool TryReceive(net::NodeId node, net::Packet& out) override;
+  void LendReceive(net::NodeId node) override;
+  void ReclaimReceive(net::NodeId node) override;
 
   void Dispatch(net::Packet&& packet) override;
 
-  /// Also rings the shm doorbell, on which the primary's drainer parks.
+  /// True from the first link with a ring on: the primary's receivers then
+  /// drain the rings (false -> true once).
+  bool rings_live() const {
+    return rings_live_.load(std::memory_order_acquire);
+  }
+
+  /// Also rings the shm doorbell, on which the primary's dispatcher parks.
   void CloseAll() override {
     for (runtime::Channel& m : mailboxes_) m.Close();
     if (shm_ != nullptr) shm_->Knock();
   }
 
-  /// Times the primary's drainer parked on the shm doorbell (0 without a
-  /// segment).
+  /// Times the primary's dispatcher parked on the shm doorbell (0 without
+  /// a segment).
   std::uint64_t drain_parks() const {
     return shm_ != nullptr ? shm_->parks() : 0;
   }
@@ -470,10 +479,6 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// Pushes a packet into its rank's mailbox; once rings are live, a push
   /// to the primary also knocks the shm doorbell.
   void Deliver(net::Packet&& packet);
-  /// The primary's WaitPop with a shm segment: its mailbox wait until a
-  /// ring link is up; from then on pops its mailbox, else drains the
-  /// rings, polls for kReceivePollWindow, then parks on the doorbell.
-  bool DrainPop(net::Packet& out);
   /// Heartbeat tick: drains the timerfd and probes every owned live peer.
   void OnTimer(IoThread& t);
   /// Retires a mid-run-failed link: drops its queue, leaves the epoll set,
@@ -538,13 +543,13 @@ class SocketTransport final : public runtime::MailboxTransport {
   // concurrently with the quiescent-point reset).
   std::unique_ptr<std::atomic<std::uint64_t>[]> mailbox_overflow_base_;
   // Pooled receive buffers, shared by the reactor read path and the shm
-  // drainer (BufferPool is thread-safe; buffers recycle on payload release).
+  // drain (BufferPool is thread-safe; buffers recycle on payload release).
   BufferPool rx_pool_;
   // This process's shm segment (null: disabled, setup failed, or single-
   // process mesh). Created in the constructor, before any dispatcher runs.
   std::unique_ptr<ShmTransport> shm_;
   // Some link negotiated a ring, so a peer writes ours: the primary's
-  // dispatcher drains (false -> true once, in RegisterPeer).
+  // receivers drain (false -> true once, in RegisterPeer).
   std::atomic<bool> rings_live_{false};
   std::uint64_t host_id_ = 0;
   // Wire-write syscall latency, recorded by reactor threads (which never

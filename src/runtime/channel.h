@@ -1,7 +1,9 @@
 // In-process channel transport for the threads backend.
 //
-// Every node owns one mailbox (an MPSC channel: any node's thread may push,
-// only the node's dispatcher pops). The mailbox fast path is a bounded
+// Every node owns one mailbox (an MPSC channel: any node's thread may push;
+// only the holder of the node's agent lock pops — the node's dispatcher,
+// or a guest of the node while it is parked, see mailbox_transport.h).
+// The mailbox fast path is a bounded
 // lock-free MPSC ring (MpscRing below) with a locked overflow deque behind
 // it, so concurrent senders to a hot node do not serialize on a mutex. A
 // message is one serialized proto::wire payload — exactly what the
@@ -18,13 +20,17 @@
 // runs re-entrantly inside the sender's call stack.
 //
 // Statistics: per-node recorders, send half recorded by the sender, receive
-// half by the dispatcher at delivery (each under its node's agent lock).
+// half by the receiving thread at delivery (each under its node's agent
+// lock).
 // The enqueued/dispatched counters feed Runtime::AwaitQuiescence.
 //
 // Latency injection (optional): EnableLatencyInjection stamps every
 // cross-node Send with a delivery deadline of Now() + scale *
 // HockneyModel::Latency(wire bytes); the dispatcher holds each popped
 // packet (AwaitDeliveryTime) until its deadline before delivering. The
+// sleep happens between pop and dispatch, outside the agent lock, so an
+// injecting transport does not lend its mailboxes to parked guests
+// (LendsReceive): its dispatchers keep popping with WaitPop. The
 // semantics are deadline-based, not cumulative sleep: packets queued
 // behind a sleeping dispatcher age toward their own deadlines meanwhile,
 // so same-size fan-in latencies overlap like the simulator's pipeline
@@ -50,6 +56,7 @@
 
 #include "src/net/hockney.h"
 #include "src/runtime/mailbox_transport.h"
+#include "src/runtime/poll_window.h"
 #include "src/util/check.h"
 
 namespace hmdsm::runtime {
@@ -110,24 +117,27 @@ class MpscRing {
   /// either the ring is empty or a producer is mid-publish (Empty()
   /// distinguishes the two).
   bool TryPop(net::Packet& out) {
-    Slot& slot = slots_[head_ & mask_];
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    Slot& slot = slots_[head & mask_];
     const std::size_t seq = slot.seq.load(std::memory_order_acquire);
     if (static_cast<std::intptr_t>(seq) -
-            static_cast<std::intptr_t>(head_ + 1) < 0) {
+            static_cast<std::intptr_t>(head + 1) < 0) {
       return false;
     }
     out = std::move(slot.packet);
     slot.packet = net::Packet{};  // drop the payload ref promptly
-    slot.seq.store(head_ + mask_ + 1, std::memory_order_release);
-    ++head_;
+    slot.seq.store(head + mask_ + 1, std::memory_order_release);
+    head_.store(head + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Consumer-side: true when no producer has even *claimed* a slot ahead
-  /// of the consumer. (!Empty() after a failed TryPop means a publish is in
-  /// flight and will complete momentarily.)
+  /// True when no producer has even *claimed* a slot ahead of the
+  /// consumer. (!Empty() after a failed TryPop means a publish is in
+  /// flight and will complete momentarily.) Also a peek for threads that
+  /// wait to become the consumer: head_ is atomic for them.
   bool Empty() const {
-    return tail_.load(std::memory_order_acquire) == head_;
+    return tail_.load(std::memory_order_acquire) ==
+           head_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -139,10 +149,12 @@ class MpscRing {
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::size_t> tail_{0};  // producers
-  alignas(64) std::size_t head_ = 0;              // consumer only
+  alignas(64) std::atomic<std::size_t> head_{0};  // written by the consumer
 };
 
-/// One node's mailbox: multi-producer, single-consumer (the dispatcher).
+/// One node's mailbox: multi-producer, single-consumer (whoever holds the
+/// node's agent lock: its dispatcher, or a parked guest that borrowed the
+/// mailbox with Lend).
 ///
 /// Fast path is the lock-free MpscRing — a push is one CAS plus one release
 /// store, so concurrent senders never serialize on a mailbox mutex. When
@@ -210,40 +222,37 @@ class Channel {
     Knock();
   }
 
-  /// Blocks until a packet is available or the channel is closed. Returns
-  /// false when the channel is closed (remaining packets are dropped:
-  /// close means the run is over) or when Interrupt() released a parked
-  /// wait; closed() tells the two apart.
+  /// Blocks until a packet is ready to pop, without popping it; false
+  /// when the channel is closed (remaining packets are dropped: close
+  /// means the run is over) or when Interrupt() released a parked wait;
+  /// closed() tells the two apart.
   ///
   /// Spin-then-block: protocol traffic is bursty request/response chains
   /// where the next packet typically lands within microseconds, while a
   /// condvar block costs a scheduler wake (tens of microseconds) — the same
   /// order as a modeled message latency, which would distort
-  /// measured-vs-modeled comparisons. A short bounded spin absorbs the
-  /// common case; idle dispatchers still park on the condvar. A mesh
-  /// process's primary dispatcher stops calling this once a shm ring link
-  /// is up: it then polls TryPop and its rings itself for
-  /// netio::kReceivePollWindow and parks on the ring doorbell
-  /// (netio/socket_transport.h, DrainPop). The reactor threads poll as
-  /// long: they wait out whole round trips, while the dispatchers here
-  /// only bridge the gap between their pushes.
-  bool WaitPop(net::Packet& out) {
-    const auto spin_deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(20);
-    do {
+  /// measured-vs-modeled comparisons. A kMailboxPollWindow spin absorbs the
+  /// common case; idle consumers still park on the condvar. While the
+  /// mailbox is lent to a parked guest the waiter neither spins nor
+  /// returns: the guest pops, pushes do not notify, and Reclaim() notifies
+  /// if packets are left.
+  bool Await() {
+    PollWindow window(kMailboxPollWindow);
+    window.Busy();
+    while (!lent_.load(std::memory_order_relaxed)) {
       if (closed_.load(std::memory_order_acquire)) return false;
-      if (TryPop(out)) return true;
-      std::this_thread::yield();
-    } while (std::chrono::steady_clock::now() < spin_deadline);
-
+      if (HasPacket()) return true;
+      if (!window.YieldWithin()) break;
+    }
     for (;;) {
-      // Eventcount handshake with Knock(): the waiting_ store and the
-      // producers' publish are both sequenced by seq_cst fences, so either
-      // the TryPop below sees the packet or the producer sees waiting_ and
-      // takes the mutex to notify. The timed wait is a pure backstop.
+      // Eventcount handshake with Knock() and Reclaim(): the waiting_ store
+      // and the producers' publish (or the lender's return) are both
+      // sequenced by seq_cst fences, so either the check below sees the
+      // packet or the other side sees waiting_ and takes the mutex to
+      // notify. The timed wait is a pure backstop.
       waiting_.store(true, std::memory_order_seq_cst);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (TryPop(out)) {
+      if (!lent_.load(std::memory_order_seq_cst) && HasPacket()) {
         waiting_.store(false, std::memory_order_relaxed);
         return true;
       }
@@ -254,7 +263,7 @@ class Channel {
           waiting_.store(false, std::memory_order_relaxed);
           return false;
         }
-        if (ring_.Empty() && ov_head_ == nullptr) {
+        if (lent_.load(std::memory_order_relaxed) || !HasPacket()) {
           cv_.wait_for(lock, std::chrono::milliseconds(10));
         }
       }
@@ -262,7 +271,37 @@ class Channel {
     }
   }
 
-  /// Makes the consumer's parked WaitPop — or its next one to park —
+  /// Await, then pop: blocks until a packet is available or the channel is
+  /// closed. For a consumer that needs no baton (it is the only one).
+  bool WaitPop(net::Packet& out) {
+    while (Await()) {
+      if (TryPop(out)) return true;
+    }
+    return false;
+  }
+
+  /// A peek any thread may take: a packet is published or being published
+  /// (TryPop then completes the publish), in the ring or in overflow.
+  bool HasPacket() const {
+    return !ring_.Empty() || overflow_active_.load(std::memory_order_acquire);
+  }
+
+  /// The consumer's parked guest starts polling: pushes stop notifying a
+  /// waiter, whose Await stands down until Reclaim.
+  void Lend() { lent_.store(true, std::memory_order_seq_cst); }
+
+  /// Ends Lend: notifies a parked waiter when a packet is left, since the
+  /// pushes meanwhile did not. Same fence pairing as Knock.
+  void Reclaim() {
+    lent_.store(false, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiting_.load(std::memory_order_seq_cst) && HasPacket()) {
+      std::lock_guard lock(mu_);
+      cv_.notify_one();
+    }
+  }
+
+  /// Makes the consumer's parked Await — or its next one to park —
   /// return false without a packet, so it can switch to another wait.
   void Interrupt() {
     {
@@ -325,10 +364,12 @@ class Channel {
 
  private:
   /// Producer-side wake: only touches the mutex when the consumer is
-  /// (about to be) parked, so the hot path stays lock-free.
+  /// (about to be) parked and no guest polls in its place, so the hot path
+  /// stays lock-free.
   void Knock() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiting_.load(std::memory_order_seq_cst)) {
+    if (waiting_.load(std::memory_order_seq_cst) &&
+        !lent_.load(std::memory_order_seq_cst)) {
       std::lock_guard lock(mu_);
       cv_.notify_one();
     }
@@ -351,6 +392,7 @@ class Channel {
   std::atomic<bool> closed_{false};
   std::atomic<bool> overflow_active_{false};
   std::atomic<bool> waiting_{false};
+  std::atomic<bool> lent_{false};  // a parked guest polls (Lend/Reclaim)
   mutable std::mutex mu_;  // overflow list + free list + eventcount sleep
   std::condition_variable cv_;
   OvNode* ov_head_ = nullptr;  // FIFO overflow queue
@@ -387,13 +429,19 @@ class ChannelTransport final : public MailboxTransport {
   }
   bool latency_injection_enabled() const { return inject_scale_ > 0; }
 
+  /// Injection sleeps between pop and dispatch, which must not happen
+  /// under the agent lock: an injecting transport keeps its mailboxes to
+  /// the WaitPop dispatchers.
+  bool LendsReceive() const override { return inject_scale_ <= 0; }
+
   /// Blocks until `packet`'s injected delivery deadline. No-op when
   /// injection is off or the deadline already passed — but an
   /// already-passed deadline means the packet waited behind an earlier
   /// (larger) packet's sleep and effectively inherited its delivery time,
   /// so it is counted in hol_inherited(). Dispatchers call this after
   /// popping and *before* taking the destination agent lock, so a sleeping
-  /// delivery never blocks the node's guests.
+  /// delivery never blocks the node's guests (and guests, which would
+  /// receive under that lock, never receive while injection is on).
   void AwaitDeliveryTime(const net::Packet& packet) const override {
     if (packet.deliver_after <= 0) return;
     const sim::Time wait = packet.deliver_after - Now();
@@ -431,17 +479,21 @@ class ChannelTransport final : public MailboxTransport {
 
   // ---- dispatcher plumbing (Runtime's per-node threads) ----
 
-  /// Blocks for the next packet addressed to `node`; false when closed.
-  bool WaitPop(NodeId node, net::Packet& out) override {
+  bool AwaitReceive(NodeId node) override {
     HMDSM_CHECK(node < channels_.size());
-    return channels_[node].WaitPop(out);
+    return channels_[node].Await();
   }
+  bool TryReceive(NodeId node, net::Packet& out) override {
+    return channels_[node].TryPop(out);
+  }
+  void LendReceive(NodeId node) override { channels_[node].Lend(); }
+  void ReclaimReceive(NodeId node) override { channels_[node].Reclaim(); }
 
   /// Delivers one popped packet: receive accounting plus the registered
   /// handler. Must be called under the destination node's agent lock.
   void Dispatch(net::Packet&& packet) override;
 
-  /// Closes every mailbox; dispatchers drain out of WaitPop with false.
+  /// Closes every mailbox; dispatchers drain out of their waits with false.
   void CloseAll() override {
     for (Channel& c : channels_) c.Close();
   }

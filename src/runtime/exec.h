@@ -10,14 +10,16 @@
 //     single baton back to the discrete-event kernel, Delay advances virtual
 //     time. Bit-deterministic.
 //   * runtime::Guest   — a real std::thread bound to one node of the
-//     threads backend; Park waits on a condition variable while releasing
-//     the node's agent lock, Delay sleeps wall-clock time.
+//     threads backend; Park first handles the node's incoming messages
+//     itself for a short poll window, then waits on a condition variable
+//     while releasing the node's agent lock; Delay sleeps wall-clock time.
 //
 // The contract both implementations honour (and the protocol relies on):
 // between entering a blocking Agent call and the moment Park actually
 // blocks, no protocol message for this node is processed — the sim
 // guarantees it with the single baton, the threads backend with the
-// per-node agent lock that Park releases only once the caller is parked.
+// per-node agent lock, which Park uses (to handle messages or to release
+// it) only once the caller is parked.
 // This is what makes "send request, then Wait()" free of lost wakeups.
 #pragma once
 

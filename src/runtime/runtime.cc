@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "src/runtime/poll_window.h"
+
 namespace hmdsm::runtime {
 
 // ---------------------------------------------------------------------------
@@ -63,25 +65,58 @@ void Runtime::Init() {
 Runtime::~Runtime() { Shutdown(); }
 
 void Runtime::DispatchLoop(dsm::NodeId node) {
+  NodeCell& cell = *cells_[node];
   net::Packet packet;
-  while (transport_.WaitPop(node, packet)) {
-    // Injected Hockney delay first, outside the agent lock: a delivery
-    // sleeping toward its deadline must not block the node's guests.
-    transport_.AwaitDeliveryTime(packet);
-    // The agent lock serializes this handler against the node's guests
-    // (and is the lock their Park waits release). A dispatcher that drains
-    // its process's shm rings keeps draining while it waits: the guest
-    // holding the lock may be blocked writing into a peer's full ring, and
-    // that peer's drainer may in turn wait for room in ours. Asked per
-    // packet, since the rings come up after the dispatchers start.
-    std::unique_lock lock(cells_[node]->mu, std::defer_lock);
-    if (transport_.DrainsOnWait(node)) {
-      while (!lock.try_lock()) transport_.Progress(node);
-    } else {
-      lock.lock();
+  if (!transport_.LendsReceive()) {
+    // Injected Hockney delay between pop and dispatch, outside the agent
+    // lock: a delivery sleeping toward its deadline must not block the
+    // node's guests. This thread is the mailbox's only consumer.
+    while (transport_.WaitPop(node, packet)) {
+      transport_.AwaitDeliveryTime(packet);
+      std::lock_guard lock(cell.mu);
+      Handle(std::move(packet));
     }
-    transport_.Dispatch(std::move(packet));
+    return;
   }
+  // The agent lock is the mailbox's consumer baton: a packet is popped and
+  // handled under it, by this thread or by a parked guest, so the node's
+  // packets run in mailbox order (per-sender FIFO) whoever pops them. One
+  // packet per hold, so guests waiting for the lock get their turn.
+  while (transport_.AwaitReceive(node)) {
+    const auto lock = LockCell(cell);
+    if (transport_.TryReceive(node, packet)) Handle(std::move(packet));
+  }
+}
+
+void Runtime::ReceiveWhileParked(dsm::NodeId node,
+                                 std::unique_lock<std::mutex>& lock,
+                                 const bool& done) {
+  NodeCell& cell = *cells_[node];
+  if (cell.receiving || !transport_.LendsReceive()) return;
+  cell.receiving = true;
+  transport_.LendReceive(node);
+  PollWindow window(kReceivePollWindow);
+  window.Busy();
+  net::Packet packet;
+  while (!done) {
+    // Someone waits for the lock: a guest a handler here unparked, a guest
+    // starting an operation, the sampler. Their progress may be what this
+    // guest waits for, so the dispatcher takes over.
+    if (cell.contenders.load(std::memory_order_relaxed) != 0) break;
+    if (transport_.TryReceive(node, packet)) {
+      Handle(std::move(packet));
+      window.Busy();
+      continue;
+    }
+    // Idle pass: the lock goes to whoever waits for it (another guest the
+    // last handler unparked, the sampler) while this thread yields.
+    lock.unlock();
+    const bool open = window.YieldWithin();
+    lock.lock();
+    if (!open) break;
+  }
+  transport_.ReclaimReceive(node);
+  cell.receiving = false;
 }
 
 dsm::ObjectId Runtime::NewObjectId(dsm::NodeId initial_home,
@@ -124,7 +159,7 @@ void Runtime::ResetMeasurement() {
   for (dsm::NodeId n : local_nodes_) {
     // The lock both serializes against any straggling handler and gives the
     // reset visibility to the node's future recorder writes.
-    std::lock_guard lock(cells_[n]->mu);
+    const auto lock = LockCell(*cells_[n]);
   }
   transport_.ResetStats();
   measure_start_ = transport_.Now();
@@ -144,7 +179,7 @@ stats::Recorder Runtime::Totals() const {
   for (dsm::NodeId n : local_nodes_) {
     stats::Recorder snap;
     {
-      std::lock_guard lock(cells_[n]->mu);
+      const auto lock = LockCell(*cells_[n]);
       snap = transport_.RecorderFor(n);
     }
     // Transport extras (wire counters, write-latency histograms) fold into
@@ -161,7 +196,7 @@ bool Runtime::SampleTimeseries() {
   for (dsm::NodeId n : local_nodes_) {
     // Same serialization as Totals(): the node's recorder is only ever
     // mutated under its agent lock, and the sampler is one more mutator.
-    std::lock_guard lock(cells_[n]->mu);
+    const auto lock = LockCell(*cells_[n]);
     if (transport_.RecorderFor(n).SampleTimeseries(n, now)) moved = true;
   }
   return moved;
@@ -193,7 +228,7 @@ Guest::Guest(Runtime& rt, dsm::NodeId node, std::string name)
 template <typename Fn>
 void Guest::WithAgent(Fn&& fn) {
   Runtime::NodeCell& cell = rt_.cell(node_);
-  std::unique_lock<std::mutex> lock(cell.mu);
+  std::unique_lock<std::mutex> lock = Runtime::LockCell(cell);
   active_lock_ = &lock;
   struct Clear {  // reset even if the protocol CHECK-throws
     Guest* g;
@@ -247,9 +282,17 @@ std::uint64_t Guest::Park() {
                   "Park outside an agent call in guest '" << name_ << "'");
   HMDSM_CHECK(!parked_);
   parked_ = true;
-  // Releases the agent lock while waiting — the dispatcher takes over the
-  // node, exactly like the simulator's baton handoff to the kernel.
-  cv_.wait(*active_lock_, [&] { return notified_; });
+  // The reply is usually a round trip away: handle the node's packets
+  // here until it arrives or a poll window passes without any.
+  rt_.ReceiveWhileParked(node_, *active_lock_, notified_);
+  if (!notified_) {
+    // Release the agent lock while waiting — the dispatcher takes over
+    // the node, exactly like the simulator's baton handoff to the kernel.
+    waiting_ = true;
+    cv_.wait(*active_lock_, [&] { return notified_; });
+    waiting_ = false;
+    rt_.cell(node_).contenders.fetch_sub(1, std::memory_order_relaxed);
+  }
   parked_ = false;
   notified_ = false;
   return token_;
@@ -262,7 +305,12 @@ void Guest::Unpark(std::uint64_t token) {
                   "unparking guest '" << name_ << "' that is not parked");
   token_ = token;
   notified_ = true;
-  cv_.notify_one();
+  // A guest in its condvar wait needs the agent lock back; one still in
+  // its receive window (this very thread, usually) holds it.
+  if (waiting_) {
+    rt_.cell(node_).contenders.fetch_add(1, std::memory_order_relaxed);
+    cv_.notify_one();
+  }
 }
 
 }  // namespace hmdsm::runtime

@@ -4,16 +4,21 @@
 // Topology mirrors the simulator exactly — one dsm::Agent per node — but
 // execution is real:
 //
-//   * every node has a *dispatcher* std::thread draining its mailbox and
-//     running the agent's message handlers (on a shm mesh the primary
-//     rank's dispatcher also drains its process's rings; see
+//   * every node has a *dispatcher* std::thread that pops its mailbox and
+//     runs the agent's message handlers (on a shm mesh the primary rank's
+//     dispatcher also drains its process's rings; see
 //     mailbox_transport.h);
 //   * application workers are plain std::threads that enter the blocking
 //     Agent API through a Guest context bound to one node;
 //   * one mutex per node (the "agent lock") serializes all access to that
-//     node's Agent — dispatcher and guests alike. Guest::Park releases the
-//     lock while blocked (condition-variable style), which is the threads
-//     equivalent of the simulator's single-baton handoff;
+//     node's Agent — dispatcher and guests alike — and is the mailbox's
+//     consumer baton: packets are popped and handled only under it. A
+//     guest that blocks (Guest::Park) first receives for its node itself:
+//     for up to kReceivePollWindow it pops and handles the node's packets
+//     under the lock it holds, its own reply usually among them, while the
+//     dispatcher stays parked. Only then does it release the lock and wait
+//     on its condition variable, which is the threads equivalent of the
+//     simulator's single-baton handoff;
 //   * the clock is the wall clock.
 //
 // Protocol races that the simulator schedules deterministically — migration
@@ -23,6 +28,7 @@
 // tests assert that a scenario's checksum is identical on both backends.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -140,7 +146,24 @@ class Runtime {
   struct NodeCell {
     mutable std::mutex mu;
     std::unique_ptr<dsm::Agent> agent;
+    bool receiving = false;  // a parked guest polls the mailbox; under mu
+    /// Threads waiting to take mu: LockCell callers that found it held,
+    /// guests unparked out of their condvar wait. A receiving guest hands
+    /// the lock over when this is non-zero.
+    std::atomic<std::uint32_t> contenders{0};
   };
+
+  /// Takes `cell`'s agent lock; a thread that has to wait says so, so that
+  /// a receiving guest hands the lock over instead of keeping it busy.
+  static std::unique_lock<std::mutex> LockCell(NodeCell& cell) {
+    std::unique_lock lock(cell.mu, std::try_to_lock);
+    if (!lock.owns_lock()) {
+      cell.contenders.fetch_add(1, std::memory_order_relaxed);
+      lock.lock();
+      cell.contenders.fetch_sub(1, std::memory_order_relaxed);
+    }
+    return lock;
+  }
 
   NodeCell& cell(dsm::NodeId node) {
     HMDSM_CHECK_MSG(hosts(node), "node " << node << " is not hosted by this "
@@ -150,6 +173,18 @@ class Runtime {
 
   void Init();
   void DispatchLoop(dsm::NodeId node);
+  /// A parked guest's receive window: under the node's agent `lock`, pops
+  /// and handles the node's packets until `done`, until kReceivePollWindow
+  /// passes without one, or until another thread waits for the lock;
+  /// releases the lock between idle passes. No-op when another guest of
+  /// the node is receiving or the transport does not lend.
+  void ReceiveWhileParked(dsm::NodeId node, std::unique_lock<std::mutex>& lock,
+                          const bool& done);
+  /// Handles one popped packet; a throwing handler ends the process, on a
+  /// guest's thread as on a dispatcher's.
+  void Handle(net::Packet&& packet) noexcept {
+    transport_.Dispatch(std::move(packet));
+  }
 
   RuntimeOptions options_;
   std::unique_ptr<ChannelTransport> owned_transport_;  // in-process mode
@@ -167,9 +202,10 @@ class Runtime {
 /// A real-thread execution context bound to one node — the threads
 /// backend's counterpart of (gos::Env + sim::Process). Each std::thread
 /// that wants to touch the DSM creates its own Guest; the blocking ops
-/// take the node's agent lock for the duration of the call, and Park
-/// releases it while waiting (so the dispatcher can run the handlers that
-/// will eventually Unpark us).
+/// take the node's agent lock for the duration of the call. Park first
+/// runs the node's handlers itself (Runtime::ReceiveWhileParked), then
+/// releases the lock while waiting, so the dispatcher can run the handlers
+/// that will eventually Unpark us.
 class Guest final : public Exec {
  public:
   Guest(Runtime& rt, dsm::NodeId node, std::string name = {});
@@ -181,8 +217,12 @@ class Guest final : public Exec {
   // ---- blocking DSM operations (mirror gos::Env) ----
 
   void CreateObject(dsm::ObjectId obj, ByteSpan initial);
-  void Read(dsm::ObjectId obj, const std::function<void(ByteSpan)>& fn);
-  void Write(dsm::ObjectId obj, const std::function<void(MutByteSpan)>& fn);
+  // The access path is pinned to cache-line starts so that unrelated edits
+  // elsewhere in the binary cannot move its timing (as dsm::Agent's).
+  [[gnu::aligned(64)]] void Read(dsm::ObjectId obj,
+                                 const std::function<void(ByteSpan)>& fn);
+  [[gnu::aligned(64)]] void Write(dsm::ObjectId obj,
+                                  const std::function<void(MutByteSpan)>& fn);
   void Acquire(dsm::LockId lock);
   void Release(dsm::LockId lock);
   void Barrier(dsm::BarrierId barrier, std::uint32_t expected);
@@ -197,6 +237,10 @@ class Guest final : public Exec {
   void Unpark(std::uint64_t token = 0) override;
 
  private:
+  /// Test-only seam: lets a test park a guest inside an agent call of its
+  /// own (tests/netio_drain_test.cc).
+  friend struct AgentLockForTest;
+
   /// Runs `fn(agent)` under the node's agent lock, exposing the lock to
   /// Park for the duration.
   template <typename Fn>
@@ -209,6 +253,7 @@ class Guest final : public Exec {
   std::unique_lock<std::mutex>* active_lock_ = nullptr;
   std::condition_variable cv_;
   bool parked_ = false;
+  bool waiting_ = false;  // in the condvar wait: Unpark must hand it the lock
   bool notified_ = false;
   std::uint64_t token_ = 0;
 };

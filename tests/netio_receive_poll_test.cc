@@ -1,4 +1,4 @@
-// Poll-before-park on the mesh's receive paths (netio/poll_window.h): the
+// Poll-before-park on the mesh's receive paths (runtime/poll_window.h): the
 // primary rank's dispatcher, which drains its process's shm rings, and the
 // reactor I/O threads keep polling for kReceivePollWindow after their last
 // event and only then block. These tests pin the four properties that
@@ -25,9 +25,9 @@
 #include <thread>
 #include <vector>
 
-#include "src/netio/poll_window.h"
 #include "src/netio/socket.h"
 #include "src/netio/socket_transport.h"
+#include "src/runtime/poll_window.h"
 #include "src/util/check.h"
 
 namespace hmdsm::netio {
@@ -35,6 +35,8 @@ namespace {
 
 using namespace std::chrono_literals;
 using Clock = std::chrono::steady_clock;
+using runtime::kReceivePollWindow;
+using runtime::PollWindow;
 
 /// CPU time consumed by every thread of this process.
 std::chrono::nanoseconds ProcessCpu() {
